@@ -18,10 +18,10 @@ Two entry points:
 
       PYTHONPATH=src python -m pytest benchmarks/bench_core.py --benchmark-only
 
-* script mode, emitting a BENCH-schema record for ``repro-analyze bench``::
+* script mode, emitting a BENCH-schema record for ``repro analyze bench``::
 
       PYTHONPATH=src python benchmarks/bench_core.py --bench /tmp/core.json
-      PYTHONPATH=src repro-analyze bench /tmp/core.json --against <prior.json>
+      PYTHONPATH=src repro analyze bench /tmp/core.json --against <prior.json>
 
   The record carries one experiment entry per microbenchmark, so a
   regression report names the layer that slowed down rather than just
@@ -140,7 +140,7 @@ def test_end_to_end_smoke_cell(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Script mode: emit a BENCH-schema record for `repro-analyze bench`
+# Script mode: emit a BENCH-schema record for `repro analyze bench`
 # ----------------------------------------------------------------------
 
 def _stats_for(label: str, events: int, wall: float) -> ExecStats:

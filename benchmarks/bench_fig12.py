@@ -7,7 +7,7 @@ from repro.experiments.common import SMOKE
 
 def test_fig12_all_workloads(benchmark):
     # One mix per category at smoke scale; the full 44 run via
-    # `repro-experiment fig12 --scale small`.
+    # `repro experiment fig12 --scale small`.
     result = run_once(benchmark, "fig12", scale=SMOKE, max_mixes_per_category=1)
     print()
     result.print()

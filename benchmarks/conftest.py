@@ -3,7 +3,7 @@
 Each benchmark regenerates one paper artifact at ``smoke`` scale (a
 representative workload subset) and prints the table it produced.
 ``pytest benchmarks/ --benchmark-only`` therefore doubles as a quick
-reproduction pass; run ``repro-experiment all --scale small`` for the
+reproduction pass; run ``repro experiment all --scale small`` for the
 full-fidelity version.
 
 Benchmarks resolve experiments by registry id and drive them through

@@ -1,7 +1,7 @@
 """Developer smoke script: run small mixes on baseline and DAP.
 
 Drives baseline/dap cell pairs through the cell-execution engine, so it
-exercises the same parallel + cached path as `repro-experiment`:
+exercises the same parallel + cached path as `repro experiment`:
 
     PYTHONPATH=src python scripts/smoke.py mcf omnetpp --jobs 4
 
@@ -16,7 +16,6 @@ import os
 import time
 
 from repro.api import MixCell, TelemetryConfig, default_cache, run_cells
-from repro.backends import BACKEND_NAMES
 from repro.experiments.common import get_scale, scaled_config
 from repro.obs.bench import build_bench_record, write_bench
 from repro.obs.profiler import DEFAULT_HZ, Profile
@@ -49,9 +48,6 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--cache-dir", default=None, metavar="DIR")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="simulation backend (python/numpy/auto); "
-                             "bit-identical results, different speed")
     parser.add_argument("--trace", action="store_true",
                         help="stream JSONL telemetry traces + manifests")
     parser.add_argument("--probe-interval", type=int, metavar="CYCLES",
@@ -87,8 +83,7 @@ def main(argv=None):
     ]
     t0 = time.time()
     results, stats = run_cells(cells, jobs=args.jobs, cache=cache,
-                               profile_hz=DEFAULT_HZ if args.profile else 0,
-                               backend=args.backend)
+                               profile_hz=DEFAULT_HZ if args.profile else 0)
     wall = time.time() - t0
 
     for name in args.workloads:
@@ -110,7 +105,7 @@ def main(argv=None):
         print(stats.profile_summary())
     if args.trace and stats.executed:
         print(f"[traces written under {trace_dir} — inspect with "
-              f"'repro-analyze report {trace_dir}']")
+              f"'repro analyze report {trace_dir}']")
     if args.profile:
         merged = Profile()
         for text in stats.stack_profiles.values():

@@ -33,7 +33,6 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from repro.backends import BACKEND_NAMES
 from repro.errors import ConfigError
 from repro.experiments.cellcache import CellCache, ExecStats, default_cache_dir
 from repro.experiments.common import ExperimentResult
@@ -109,12 +108,6 @@ class ExperimentRequest:
     #: Service-side knobs; ignored by direct execution.
     timeout_seconds: Optional[float] = None
     max_attempts: int = 2
-    #: Simulation backend (repro.backends): ``python``, ``numpy``,
-    #: ``auto``, or None for the process default. Backends are
-    #: bit-identical by contract, so — like ``profile`` — the choice is
-    #: excluded from the fingerprint and the cell cache key: cells
-    #: computed under one backend are served under any other.
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.workloads is not None and not isinstance(
@@ -141,10 +134,6 @@ class ExperimentRequest:
         if self.probe_interval <= 0:
             raise ConfigError(
                 f"probe_interval must be positive, got {self.probe_interval}")
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {list(BACKEND_NAMES)}")
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -335,7 +324,6 @@ def run_experiment(
         should_stop=should_stop,
         on_cell=on_cell,
         profile_hz=profile_hz,
-        backend=request.backend,
     )
 
 
@@ -348,7 +336,6 @@ def run_cells(
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
     profile_hz: int = 0,
-    backend: Optional[str] = None,
 ) -> tuple[dict, ExecStats]:
     """Execute a hand-built cell list through the cached engine.
 
@@ -358,7 +345,7 @@ def run_cells(
     """
     return execute_cells(cells, jobs=jobs, cache=cache, resume=resume,
                          should_stop=should_stop, on_cell=on_cell,
-                         profile_hz=profile_hz, backend=backend)
+                         profile_hz=profile_hz)
 
 
 def submit(request: ExperimentRequest, store,

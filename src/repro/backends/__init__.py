@@ -1,97 +1,1 @@
-"""Pluggable simulation backends behind a bit-identical contract.
-
-The registry resolves a backend *name* — ``python`` (zero-dependency
-default), ``numpy`` (vectorized materialization, the ``[fast]`` extra),
-or ``auto`` (numpy when importable, silently python otherwise) — and
-installs one process-global :class:`~repro.backends.base.SimBackend`
-the engine, :func:`repro.experiments.common.run_mix`, and warmup all
-read.  Results are bit-identical across backends by contract (enforced
-by the determinism goldens per backend), which is why the backend never
-enters cell-cache keys or request fingerprints.
-
-A compiled backend (mypyc/Cython) slots in here later: implement
-``SimBackend``, register its name, and every CLI/service surface picks
-it up.
-
-Selection order: explicit name -> ``$REPRO_BACKEND`` -> ``python``.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-from repro.backends.base import SimBackend, TraceStore
-from repro.backends.python_backend import PythonBackend
-from repro.errors import ConfigError
-
-__all__ = [
-    "BACKEND_NAMES",
-    "SimBackend",
-    "TraceStore",
-    "PythonBackend",
-    "active_backend",
-    "active_backend_name",
-    "configure_backend",
-    "numpy_version",
-    "resolve_backend_name",
-]
-
-#: Names accepted by --backend / ExperimentRequest.backend / $REPRO_BACKEND.
-BACKEND_NAMES = ("python", "numpy", "auto")
-
-_ACTIVE: SimBackend = PythonBackend()
-
-
-def numpy_version() -> Optional[str]:
-    """The installed numpy's version, or None when unavailable."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return getattr(numpy, "__version__", None) or "unknown"
-
-
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """A concrete backend name for ``name`` (or env default).
-
-    ``auto`` degrades to ``python`` silently when numpy is missing; an
-    explicit ``numpy`` raises at construction time instead, so a user
-    who asked for speed finds out they did not get it.
-    """
-    chosen = name or os.environ.get("REPRO_BACKEND") or "python"
-    if chosen not in BACKEND_NAMES:
-        raise ConfigError(
-            f"unknown backend {chosen!r}; expected one of {list(BACKEND_NAMES)}")
-    if chosen == "auto":
-        return "numpy" if numpy_version() is not None else "python"
-    return chosen
-
-
-def _make(name: str) -> SimBackend:
-    if name == "numpy":
-        from repro.backends.numpy_backend import NumpyBackend
-
-        return NumpyBackend()
-    return PythonBackend()
-
-
-def configure_backend(name: Optional[str] = None) -> SimBackend:
-    """Resolve ``name`` and install it as this process's backend.
-
-    Each call installs a *fresh* backend (fresh trace store), so one
-    engine invocation's memoized traces never outlive it — that is the
-    "once per invocation" scoping of the trace store.
-    """
-    global _ACTIVE
-    _ACTIVE = _make(resolve_backend_name(name))
-    return _ACTIVE
-
-
-def active_backend() -> SimBackend:
-    """The process-global backend (python unless configured otherwise)."""
-    return _ACTIVE
-
-
-def active_backend_name() -> str:
-    return _ACTIVE.name
+"""Trace materialization and its per-invocation store (see :mod:`.base`)."""

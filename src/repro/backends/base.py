@@ -1,28 +1,34 @@
-"""Backend base class and the intra-run materialized-trace store.
+"""The process's materialized-trace front and its intra-run trace store.
 
-A *backend* owns the two synthesis-heavy, order-unobservable stages of a
-simulation cell — trace materialization and warmup installation — behind
-a contract of **bit-identical results**: every backend must produce the
-exact tuple stream :func:`repro.workloads.synthetic.generate_trace`
-yields and leave the memory-side cache in the exact state
-:func:`~repro.workloads.synthetic.warm_lines` would, entry for entry.
-The event loop itself is backend-independent (event ordering is
-observable; it cannot be batched without changing results).
+Bounded traces are materialized to lists at build time (see
+:func:`repro.experiments.common.run_mix`): the cores then consume a
+C-speed list iterator instead of resuming a generator per instruction.
+Materialization goes through one :class:`SimBackend`, whose
+:class:`TraceStore` is a content-addressed in-process memo, so the many
+cells that replay the same (workload, seed) pair within one invocation
+— the baseline/dap cell pairs of a sweep, alone-IPC references that
+share core 0's trace — generate each trace once and share the list by
+reference.  The engine installs a fresh backend (an empty store) per
+``execute_cells`` invocation and per pool worker.
 
-Backends share a :class:`TraceStore`: a content-addressed in-process
-memo of materialized traces, so the many cells that replay the same
-(workload, seed) pair within one invocation — the baseline/dap cell
-pairs of a sweep, alone-IPC references that share core 0's trace —
-generate each trace once and share the list by reference.
+``SimBackend`` keeps this module path and its name although it is no
+longer one of several backends: the benchmark's per-layer ledger
+(``perfbench/ledger.py``) times ``phase.trace_s`` by wrapping
+``repro.backends.base.SimBackend.mix_traces``.  Moving the store next
+to ``run_mix`` waits for a benchmark change that updates that entry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable
 
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import WorkloadProfile, core_base_line
+from repro.workloads.synthetic import (
+    WorkloadProfile,
+    core_base_line,
+    generate_trace,
+)
 
 
 class TraceStore:
@@ -41,8 +47,7 @@ class TraceStore:
     and never enter the store at all.
     """
 
-    __slots__ = ("generated", "reused", "max_refs", "_traces", "_trace_refs",
-                 "_tables", "_table_refs")
+    __slots__ = ("generated", "reused", "max_refs", "_traces", "_trace_refs")
 
     DEFAULT_MAX_REFS = 4_000_000
 
@@ -52,8 +57,6 @@ class TraceStore:
         self.max_refs = max_refs
         self._traces: dict[tuple, tuple[list, int]] = {}
         self._trace_refs = 0
-        self._tables: dict[tuple, tuple[Any, int]] = {}
-        self._table_refs = 0
 
     def trace(self, key: tuple, build: Callable[[], list]) -> list:
         """The materialized trace for ``key``, building it on first use."""
@@ -72,40 +75,20 @@ class TraceStore:
             self._trace_refs += cost
         return entry
 
-    def table(self, key: tuple, build: Callable[[], Any],
-              cost: Callable[[Any], int] = len) -> Any:
-        """Memoize an auxiliary table (warm-set columns), same bound."""
-        hit = self._tables.get(key)
-        if hit is not None:
-            return hit[0]
-        entry = build()
-        weight = cost(entry)
-        if weight <= self.max_refs:
-            while self._table_refs + weight > self.max_refs and self._tables:
-                _, (_, old_cost) = self._tables.popitem()
-                self._table_refs -= old_cost
-            self._tables[key] = (entry, weight)
-            self._table_refs += weight
-        return entry
-
 
 class SimBackend:
-    """One trace-synthesis / warmup strategy (bit-identical by contract).
+    """Materializes :func:`~repro.workloads.synthetic.generate_trace`
+    streams as ``(gap, is_write, line)`` lists through a :class:`TraceStore`.
 
-    Subclasses implement ``_build_trace`` (materialize one core's trace
-    as a list of ``(gap, is_write, line)`` tuples) and the warm-set
-    installers; the shared :class:`TraceStore` front caches the traces.
+    Keep the class name and ``mix_traces`` until the benchmark ledger
+    stops timing ``phase.trace_s`` through them (see the module docstring).
     """
 
     __slots__ = ("store",)
 
-    #: Registry name; subclasses override.
-    name = "base"
+    def __init__(self) -> None:
+        self.store = TraceStore()
 
-    def __init__(self, store: Optional[TraceStore] = None) -> None:
-        self.store = store if store is not None else TraceStore()
-
-    # -- trace materialization -----------------------------------------
     def trace(self, profile: WorkloadProfile, num_refs: int,
               base_line: int = 0, scale: float = 1.0,
               seed: int = 0) -> list:
@@ -113,8 +96,9 @@ class SimBackend:
         key = (profile.name, num_refs, scale, seed, base_line)
         return self.store.trace(
             key,
-            lambda: self._build_trace(profile, num_refs, base_line, scale,
-                                      seed))
+            lambda: list(generate_trace(profile, num_refs,
+                                        base_line=base_line, scale=scale,
+                                        seed=seed)))
 
     def mix_traces(self, mix: Mix, refs_per_core: int,
                    scale: float) -> list[list]:
@@ -126,16 +110,17 @@ class SimBackend:
             for core_id, member in enumerate(mix.members)
         ]
 
-    def _build_trace(self, profile: WorkloadProfile, num_refs: int,
-                     base_line: int, scale: float, seed: int) -> list:
-        raise NotImplementedError
 
-    # -- warmup --------------------------------------------------------
-    def warm_mix(self, msc, mix: Mix, scale: float) -> int:
-        """Install the mix's warm set; returns the lines installed."""
-        raise NotImplementedError
+_ACTIVE = SimBackend()
 
-    def warm_solo(self, msc, profile: WorkloadProfile, scale: float,
-                  seed: int = 0) -> int:
-        """Install one workload copy's warm set at base line 0."""
-        raise NotImplementedError
+
+def active_backend() -> SimBackend:
+    """The process's backend; its store lives until :func:`reset_backend`."""
+    return _ACTIVE
+
+
+def reset_backend() -> None:
+    """Install a fresh backend, so one engine invocation's memoized
+    traces never outlive it."""
+    global _ACTIVE
+    _ACTIVE = SimBackend()

@@ -1,12 +1,11 @@
 """``repro`` — the single command-line entry point.
 
-One command, eight subcommands, each delegating to the subsystem CLI it
-replaces::
+One command, eight subcommands, each delegating to a subsystem CLI::
 
-    repro experiment fig06 --scale smoke     (was: repro-experiment)
-    repro analyze report .repro-traces       (was: repro-analyze)
-    repro validate run all                   (was: repro-validate)
-    repro serve --port 8321                  (new: the job service)
+    repro experiment fig06 --scale smoke     (experiment runner)
+    repro analyze report .repro-traces       (offline trace analysis)
+    repro validate run all                   (paper-shape claims)
+    repro serve --port 8321                  (the job service)
     repro top --url http://host:8321         (live service dashboard)
     repro metrics --lint                     (scrape/lint /metrics)
     repro profile run fig06                  (sampling profiler + flamegraphs)
@@ -14,11 +13,6 @@ replaces::
 
 Global flags (before the subcommand) configure structured logging for
 every subsystem: ``repro --log-level debug --log-json serve ...``.
-
-The old console scripts still work as thin shims: they print a
-one-line deprecation note to stderr and delegate here, so existing
-automation keeps running while migrating (see the table in
-EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -127,33 +121,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_USAGE, end="", file=sys.stderr)
         return 2
     return command_main(argv[1:])
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims for the pre-unification console scripts
-# ----------------------------------------------------------------------
-
-def _shim(old: str, command: str,
-          argv: Optional[Sequence[str]] = None) -> int:
-    print(f"warning: '{old}' is deprecated; use 'repro {command}' "
-          "(same arguments)", file=sys.stderr)
-    return _command_main(command)(
-        list(sys.argv[1:] if argv is None else argv))
-
-
-def experiment_shim(argv: Optional[Sequence[str]] = None) -> int:
-    """The legacy ``repro-experiment`` console script."""
-    return _shim("repro-experiment", "experiment", argv)
-
-
-def analyze_shim(argv: Optional[Sequence[str]] = None) -> int:
-    """The legacy ``repro-analyze`` console script."""
-    return _shim("repro-analyze", "analyze", argv)
-
-
-def validate_shim(argv: Optional[Sequence[str]] = None) -> int:
-    """The legacy ``repro-validate`` console script."""
-    return _shim("repro-validate", "validate", argv)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from repro.backends import active_backend
+from repro.backends.base import active_backend
 from repro.errors import ConfigError
 from repro.obs.manifest import build_manifest
 from repro.obs.probes import attach_system_probes
@@ -31,7 +31,7 @@ from repro.metrics.speedup import ALONE_IPC_CACHE
 from repro.metrics.stats import RunResult, collect_result
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.synthetic import generate_trace, warm_lines
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,8 @@ _MATERIALIZE_REFS_LIMIT = 1_000_000
 
 
 def warm_system(system, mix: Mix, scale: Scale) -> int:
-    """Pre-install the mix's warm set in the memory-side cache.
-
-    Delegated to the active backend: the python backend streams
-    ``warm_many``; the numpy backend installs pre-grouped sector masks.
-    The resulting cache state is bit-identical either way.
-    """
-    return active_backend().warm_mix(system.msc, mix, scale.footprint_scale)
+    """Pre-install the mix's warm set in the memory-side cache."""
+    return system.msc.warm_many(mix.warm_sets(scale.footprint_scale))
 
 
 def run_mix(mix: Mix, config: SystemConfig, scale: Scale,
@@ -152,13 +147,12 @@ def run_mix(mix: Mix, config: SystemConfig, scale: Scale,
     if config.num_cores != mix.num_cores:
         config = replace(config, num_cores=mix.num_cores)
     if scale.refs_per_core * mix.num_cores <= _MATERIALIZE_REFS_LIMIT:
-        # Materialize bounded traces at build time through the active
-        # backend. The reference stream is identical, but the synthesis
-        # work leaves the run loop (the cores consume a C-speed list
-        # iterator), the backend may vectorize the materialization, and
-        # the backend's trace store shares each (workload, seed) trace
-        # across the cells of one invocation. Unbounded (paper-scale)
-        # traces keep streaming to cap memory.
+        # Materialize bounded traces at build time. The reference
+        # stream is identical, but the synthesis work leaves the run
+        # loop (the cores consume a C-speed list iterator), and the
+        # trace store shares each (workload, seed) trace across the
+        # cells of one invocation. Unbounded (paper-scale) traces keep
+        # streaming to cap memory.
         traces = [iter(t) for t in active_backend().mix_traces(
             mix, scale.refs_per_core, scale.footprint_scale)]
     else:
@@ -219,20 +213,21 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
         return cached
     solo = replace(config, num_cores=1, policy="baseline")
     profile = get_profile(profile_name)
-    backend = active_backend()
     if scale.refs_per_core <= _MATERIALIZE_REFS_LIMIT:
-        # Materialized through the backend's trace store: seed 0 at base
-        # line 0 is exactly core 0's trace in the workload's rate mix,
-        # so the alone reference and the mix cells share one list.
-        trace = iter(backend.trace(profile, scale.refs_per_core,
-                                   scale=scale.footprint_scale, seed=0))
+        # Materialized through the trace store: seed 0 at base line 0 is
+        # exactly core 0's trace in the workload's rate mix, so the
+        # alone reference and the mix cells share one list.
+        trace = iter(active_backend().trace(
+            profile, scale.refs_per_core, scale=scale.footprint_scale,
+            seed=0))
     else:
         trace = generate_trace(
             profile, num_refs=scale.refs_per_core,
             scale=scale.footprint_scale, seed=0,
         )
     system = build_system(solo, [trace])
-    backend.warm_solo(system.msc, profile, scale.footprint_scale, seed=0)
+    for line, dirty in warm_lines(profile, scale=scale.footprint_scale, seed=0):
+        system.msc.warm_line(line, dirty)
     system.run()
     ipc = system.cores[0].ipc or 1e-9
     ALONE_IPC_CACHE.store(memo_key, ipc, disk_key)

@@ -30,12 +30,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
-from repro.backends import (
-    active_backend,
-    active_backend_name,
-    configure_backend,
-    resolve_backend_name,
-)
+from repro.backends.base import active_backend, reset_backend
 from repro.errors import ReproError
 from repro.experiments import cellcache
 from repro.experiments.cellcache import (
@@ -220,7 +215,7 @@ class ExperimentSpec:
     #: Zero-argument callable yielding the module's registered
     #: :class:`~repro.validate.predicates.Claim` list — the paper
     #: shapes this experiment must reproduce (``--validate`` /
-    #: ``repro-validate`` evaluate them against the rendered table).
+    #: ``repro validate`` evaluate them against the rendered table).
     claims: Optional[Callable[[], Sequence]] = None
 
     def resolve_workloads(
@@ -270,7 +265,7 @@ def _execute_one(cell: Cell, key: str, cache: Optional[CellCache],
     never raises, so pool futures only fail on worker death.
     ``wall_seconds`` is 0.0 when the cell was served by a racing worker's
     cache entry.  ``traces`` is the ``(generated, reused)`` delta this
-    cell caused in the active backend's trace store.
+    cell caused in the process's trace store.
 
     ``profile_hz > 0`` wraps the cell's execution in a
     :class:`~repro.obs.profiler.SamplingProfiler` (one per cell, so the
@@ -297,9 +292,6 @@ def _execute_one(cell: Cell, key: str, cache: Optional[CellCache],
         if profile_hz > 0:
             profiler = SamplingProfiler(hz=profile_hz)
             profiler.track(cell=cell.label)
-            # Attribute samples to the backend that produced them, so
-            # per-backend profiles are distinguishable post hoc.
-            profiler.profile.meta["backend"] = active_backend_name()
             profiler.start()
         result = cell.execute()
         collapsed = _finish_profile(profiler)
@@ -347,16 +339,10 @@ def _profile_of(label: str, payload, wall: float) -> CellProfile:
     )
 
 
-def _worker_init(cache_dir: Optional[str], backend: str = "python") -> None:
-    """Pool initializer: shared cell cache + the sweep's backend.
-
-    ``backend`` is the *resolved* concrete name (never ``auto``): the
-    parent resolves once so every worker runs the same backend even if
-    e.g. numpy's importability differs between resolve time and worker
-    spawn.  Each worker gets a fresh trace store.
-    """
+def _worker_init(cache_dir: Optional[str]) -> None:
+    """Pool initializer: shared cell cache and a fresh trace store."""
     cellcache.configure_default(cache_dir)
-    configure_backend(backend)
+    reset_backend()
 
 
 def _worker_run(cell: Cell, key: str, cache_dir: Optional[str],
@@ -385,7 +371,6 @@ def execute_cells(
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
     profile_hz: int = 0,
-    backend: Optional[str] = None,
 ) -> tuple[dict, ExecStats]:
     """Run cells, returning ``(results by label, ExecStats)``.
 
@@ -395,12 +380,8 @@ def execute_cells(
     invocation replays the failure instantly unless ``resume=True``
     forces a retry).
 
-    ``backend`` selects the simulation backend (``python``, ``numpy``,
-    ``auto``; see :mod:`repro.backends`) for this sweep — resolved once
-    here, installed process-globally, and propagated to pool workers.
-    Backends are bit-identical by contract, so the choice never enters
-    cache keys: cells cached under one backend are served under any
-    other.
+    Each invocation starts a fresh trace store
+    (:mod:`repro.backends.base`), so memoized traces never outlive it.
 
     ``should_stop`` is the job adapter's cancellation hook: a
     zero-argument callable polled between cells (and between pool
@@ -425,8 +406,7 @@ def execute_cells(
     executed) contribute no profile.
     """
     cache = _as_cache(cache)
-    resolved_backend = resolve_backend_name(backend)
-    configure_backend(resolved_backend)
+    reset_backend()
     start = time.time()
     stats = ExecStats(total=len(cells))
     results: dict = {}
@@ -486,7 +466,7 @@ def execute_cells(
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(unique)),
                 initializer=_worker_init,
-                initargs=(cache_dir, resolved_backend),
+                initargs=(cache_dir,),
             ) as pool:
                 futures = {
                     pool.submit(_worker_run, cell, keys[cell.label],
@@ -594,7 +574,6 @@ def run_spec(
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
     profile_hz: int = 0,
-    backend: Optional[str] = None,
 ) -> ExperimentResult:
     """Execute a spec's cells and render its table.
 
@@ -618,8 +597,7 @@ def run_spec(
                  if isinstance(cell, MixCell) else cell for cell in cells]
     results, stats = execute_cells(cells, jobs=jobs, cache=cache,
                                    resume=resume, should_stop=should_stop,
-                                   on_cell=on_cell, profile_hz=profile_hz,
-                                   backend=backend)
+                                   on_cell=on_cell, profile_hz=profile_hz)
     if stats.failures:
         failed = ", ".join(
             f"{f.label} (policy={f.policy})" if f.policy else f.label

@@ -2,13 +2,13 @@
 
 Usage::
 
-    repro-experiment fig06                     # one experiment, default scale
-    repro-experiment all --scale small         # everything the paper reports
-    repro-experiment table1 fig08 --workloads mcf omnetpp
-    repro-experiment fig06 fig08 --jobs 8      # fan cells out over processes
-    repro-experiment fig12 --resume            # retry recorded cell failures
-    repro-experiment all --validate            # judge paper-shape claims too
-    repro-experiment --list                    # registered experiment specs
+    repro experiment fig06                     # one experiment, default scale
+    repro experiment all --scale small         # everything the paper reports
+    repro experiment table1 fig08 --workloads mcf omnetpp
+    repro experiment fig06 fig08 --jobs 8      # fan cells out over processes
+    repro experiment fig12 --resume            # retry recorded cell failures
+    repro experiment all --validate            # judge paper-shape claims too
+    repro experiment --list                    # registered experiment specs
 
 Each experiment decomposes into independent simulation cells executed
 by :mod:`repro.experiments.exec` — in parallel with ``--jobs N`` and
@@ -27,13 +27,11 @@ import os
 import sys
 import time
 import traceback
-import warnings
 from typing import Optional, Sequence
 
 from dataclasses import replace
 
 from repro import api
-from repro.backends import BACKEND_NAMES
 from repro.errors import ConfigError, ReproError
 from repro.experiments.cellcache import (
     CellCache,
@@ -54,43 +52,7 @@ from repro.validate.report import render_summary_line, write_validation
 
 DEFAULT_TRACE_DIR = ".repro-traces"
 
-__all__ = ["EXPERIMENTS", "run_experiment", "main"]
-
-
-def run_experiment(name: str, scale_name: Optional[str] = None,
-                   workloads: Optional[Sequence[str]] = None, *,
-                   jobs: int = 1,
-                   cache: Optional[object] = None,
-                   resume: bool = False,
-                   telemetry: Optional[TelemetryConfig] = None,
-                   profile: bool = False,
-                   backend: Optional[str] = None):
-    """Run one experiment by id, returning its ExperimentResult.
-
-    ``jobs`` fans the experiment's cells out over worker processes;
-    ``cache`` (a CellCache or directory path) memoizes cells on disk;
-    ``resume`` retries cells whose previous attempt failed;
-    ``telemetry`` instruments every simulation cell (probe series plus,
-    when its ``trace_dir`` is set, JSONL traces and manifests).
-
-    Thin wrapper over :func:`repro.api.run_experiment` (the typed
-    facade the service and external callers use) that adds the CLI's
-    ignored-``--workloads`` warning.
-    """
-    spec = get_spec(name)
-    if workloads and not spec.workload_aware:
-        warnings.warn(
-            f"experiment {name!r} does not take a workload restriction; "
-            f"--workloads ignored",
-            UserWarning, stacklevel=2,
-        )
-    request = api.ExperimentRequest(
-        experiment=name, scale=scale_name,
-        workloads=tuple(workloads) if workloads else None,
-        jobs=jobs, resume=resume, profile=profile, backend=backend,
-    )
-    return api.run_experiment(request, cache=cache, telemetry=telemetry,
-                              spec=spec)
+__all__ = ["EXPERIMENTS", "main"]
 
 
 def _print_spec_list() -> None:
@@ -104,7 +66,7 @@ def _print_spec_list() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-experiment",
+        prog="repro experiment",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiments", nargs="*",
@@ -122,11 +84,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk cell cache")
-    parser.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                        help="simulation backend: python (default), numpy "
-                             "(vectorized; needs the [fast] extra), or auto "
-                             "(numpy when available); results are "
-                             "bit-identical across backends")
     parser.add_argument("--resume", action="store_true",
                         help="retry cells whose previous attempt failed "
                              "(completed cells still come from the cache)")
@@ -161,11 +118,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--bench", metavar="FILE", default=None,
                         help="write a BENCH performance-trajectory record "
                              "(per-experiment wall time and events/sec; "
-                             "compare with 'repro-analyze bench')")
+                             "compare with 'repro analyze bench')")
     parser.add_argument("--validate", action="store_true",
                         help="judge each experiment's registered paper-shape "
                              "claims and write a validation document "
-                             "(see also the repro-validate CLI)")
+                             "(see also 'repro validate')")
     parser.add_argument("--validation-out", metavar="FILE",
                         default="validation.json",
                         help="where --validate writes the document "
@@ -211,12 +168,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 telemetry,
                 trace_dir=os.path.join(telemetry.trace_dir, name))
         try:
-            result = run_experiment(
-                name, args.scale, spec_workloads,
-                jobs=max(1, args.jobs), cache=cache, resume=args.resume,
-                telemetry=spec_telemetry, profile=args.profile,
-                backend=args.backend,
-            )
+            request = api.ExperimentRequest(
+                experiment=name, scale=args.scale,
+                workloads=tuple(spec_workloads) if spec_workloads else None,
+                jobs=max(1, args.jobs), resume=args.resume,
+                profile=args.profile)
+            result = api.run_experiment(request, cache=cache,
+                                        telemetry=spec_telemetry,
+                                        spec=get_spec(name))
         except ReproError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             failed.append(name)

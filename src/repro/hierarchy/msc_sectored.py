@@ -115,34 +115,6 @@ class SectoredMscController(MscController):
                 sector.dirty |= bit
         return count
 
-    def warm_sectors(self, groups) -> int:
-        """Batched :meth:`warm_many` taking pre-grouped sectors.
-
-        ``groups`` yields ``(line, valid_mask, dirty_mask)`` — one entry
-        per sector, in the warm set's address order, with the masks
-        OR-reduced over that sector's lines (the numpy backend builds
-        them with ``reduceat``).  Equivalent to ``warm_many`` over the
-        expanded lines: one resolve/allocate per sector, then a single
-        mask OR instead of per-line bit sets.  Returns the line count
-        (``valid_mask`` popcounts), matching ``warm_many``'s count even
-        for sectors refused by a disabled set.
-        """
-        array = self.array
-        find = array.find_sector
-        allocate = array.allocate_sector
-        count = 0
-        for line, valid_mask, dirty_mask in groups:
-            count += valid_mask.bit_count()
-            sector = find(line)
-            if sector is None:
-                allocate(line)
-                sector = find(line)  # None when the set is disabled
-                if sector is None:
-                    continue
-            sector.valid |= valid_mask
-            sector.dirty |= dirty_mask
-        return count
-
     def _resolve(self, line: int):
         """One-scan (sector, bit, probe, dirty) resolution for ``line``."""
         array = self.array

@@ -2,7 +2,7 @@
 
 The paper's artifacts are bar charts; this module renders an
 :class:`~repro.experiments.common.ExperimentResult` column as horizontal
-ASCII bars so `repro-experiment --chart` output reads like the figure it
+ASCII bars so `repro experiment --chart` output reads like the figure it
 reproduces.
 """
 

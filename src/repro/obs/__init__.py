@@ -15,7 +15,7 @@ into per-window measured-vs-optimal access partitioning (the paper's
 Eq. 2/3), technique grant/deny accounting, and channel timelines;
 :mod:`repro.obs.compare` diffs two runs with regression thresholds; and
 :mod:`repro.obs.bench` tracks simulator throughput across commits
-(``BENCH_*.json``). All of it is exposed by the ``repro-analyze`` CLI
+(``BENCH_*.json``). All of it is exposed by the ``repro analyze`` CLI
 (:mod:`repro.obs.cli`) and is strictly read-only: analysis never touches
 simulation state or results.
 

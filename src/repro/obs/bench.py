@@ -13,8 +13,8 @@ in the simulator itself cannot ship silently:
 - :func:`compare_bench` judges a fresh record against a previous one
   (events/sec per experiment plus aggregate, relative threshold).
 
-``repro-experiment ... --bench FILE`` and ``scripts/smoke.py --bench``
-write records; ``repro-analyze bench`` validates and compares them.
+``repro experiment ... --bench FILE`` and ``scripts/smoke.py --bench``
+write records; ``repro analyze bench`` validates and compares them.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.backends import active_backend_name, numpy_version
 from repro.errors import ConfigError
 from repro.experiments.cellcache import ExecStats
 from repro.obs.manifest import git_sha
 
-#: Schema 2 adds backend provenance (``backend``, ``numpy_version``) and
-#: per-cell throughput (``cell_rates``); schema-1 records stay loadable
-#: (they predate backends and are implicitly ``python``).
+#: Schema 2 adds per-cell throughput (``cell_rates``); schema-1 records
+#: stay loadable. Some committed schema-2 records also carry
+#: ``backend``/``numpy_version`` provenance keys; they are ignored.
 BENCH_SCHEMA = 2
 _KNOWN_SCHEMAS = (1, 2)
 
@@ -74,14 +73,8 @@ def build_bench_record(
     per_experiment: dict[str, ExecStats],
     scale: Optional[str] = None,
     created_unix: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> dict:
-    """The BENCH schema: one performance sample of the simulator.
-
-    ``backend`` defaults to the process's active simulation backend;
-    ``numpy_version`` records the installed numpy (null when absent) so
-    a trajectory sample is attributable to the exact vector stack.
-    """
+    """The BENCH schema: one performance sample of the simulator."""
     experiments = {name: _experiment_entry(stats)
                    for name, stats in sorted(per_experiment.items())}
     wall = sum(e["wall_seconds"] for e in experiments.values())
@@ -89,8 +82,6 @@ def build_bench_record(
     return {
         "schema": BENCH_SCHEMA,
         "run_id": run_id,
-        "backend": backend if backend is not None else active_backend_name(),
-        "numpy_version": numpy_version(),
         "git_sha": git_sha(),
         "created_unix": round(created_unix if created_unix is not None
                               else time.time(), 3),
@@ -122,11 +113,6 @@ def validate_bench(record: dict) -> dict:
     return record
 
 
-def bench_backend(record: dict) -> str:
-    """The backend a record was measured under (schema-1 => python)."""
-    return record.get("backend") or "python"
-
-
 # ----------------------------------------------------------------------
 # I/O and discovery
 # ----------------------------------------------------------------------
@@ -151,31 +137,14 @@ def load_bench(path: Union[str, Path]) -> dict:
         raise ConfigError(f"unreadable bench record {path}: {exc}") from None
 
 
-def latest_bench(repo_dir: Union[str, Path],
-                 backend: Optional[str] = None) -> Optional[Path]:
-    """The highest-numbered ``BENCH_<n>.json`` at the repo root.
-
-    With ``backend``, the highest-numbered record *measured under that
-    backend* — trajectories compare like for like, so a python sample is
-    never judged against a numpy baseline (or vice versa).  Unreadable
-    records are skipped rather than fatal.
-    """
+def latest_bench(repo_dir: Union[str, Path]) -> Optional[Path]:
+    """The highest-numbered ``BENCH_<n>.json`` at the repo root."""
     numbered: list[tuple[int, Path]] = []
     for path in Path(repo_dir).glob("BENCH_*.json"):
         match = _BENCH_NAME.match(path.name)
         if match:
             numbered.append((int(match.group(1)), path))
-    for _, path in sorted(numbered, reverse=True):
-        if backend is None:
-            return path
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(record, dict) and bench_backend(record) == backend:
-            return path
-    return None
+    return max(numbered)[1] if numbered else None
 
 
 # ----------------------------------------------------------------------
@@ -195,14 +164,6 @@ def compare_bench(
     """
     regressions: list[str] = []
     notes: list[str] = []
-    cur_backend, prev_backend = bench_backend(current), bench_backend(previous)
-    if cur_backend != prev_backend:
-        # Cross-backend throughput deltas are expected (that is the
-        # point of a faster backend) — not a trajectory signal.
-        notes.append(
-            f"backend mismatch ({prev_backend} -> {cur_backend}); "
-            "throughput not compared — trajectories are per backend")
-        return regressions, notes
     pairs = [("aggregate", current, previous)]
     prev_experiments = previous.get("experiments", {})
     for name, entry in current.get("experiments", {}).items():

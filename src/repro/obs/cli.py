@@ -1,12 +1,12 @@
-"""``repro-analyze`` — decisions-grade reports from finished runs.
+"""``repro analyze`` — decisions-grade reports from finished runs.
 
 Usage::
 
-    repro-analyze report .repro-traces/fig06            # every trace under a dir
-    repro-analyze report mcf_dap.trace.jsonl --format csv --out win.csv
-    repro-analyze compare traces/before traces/after    # exit 1 on regression
-    repro-analyze compare a.trace.jsonl b.trace.jsonl --threshold cycles=0.02
-    repro-analyze bench .ci-bench.json --repo .         # vs latest BENCH_*.json
+    repro analyze report .repro-traces/fig06            # every trace under a dir
+    repro analyze report mcf_dap.trace.jsonl --format csv --out win.csv
+    repro analyze compare traces/before traces/after    # exit 1 on regression
+    repro analyze compare a.trace.jsonl b.trace.jsonl --threshold cycles=0.02
+    repro analyze bench .ci-bench.json --repo .         # vs latest BENCH_*.json
 
 ``report`` renders per-window measured-vs-optimal access partitioning
 (Eq. 2/3), DAP technique accounting, and channel timelines; ``compare``
@@ -27,7 +27,6 @@ from repro.errors import ConfigError, ReproError
 from repro.obs.analysis import analyze_trace, render_csv, render_markdown
 from repro.obs.bench import (
     DEFAULT_BENCH_THRESHOLD,
-    bench_backend,
     compare_bench,
     latest_bench,
     load_bench,
@@ -169,20 +168,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     current = load_bench(args.record)
-    backend = bench_backend(current)
-    print(f"[bench record ok: {current['run_id']} ({backend}) @ "
+    print(f"[bench record ok: {current['run_id']} @ "
           f"{current['events_per_sec']:,.0f} events/s over "
           f"{current['total_wall_seconds']:.1f}s]")
     previous_path: Optional[Path] = None
     if args.against:
         previous_path = Path(args.against)
     elif args.repo:
-        # Trajectories are per backend: judge a python sample only
-        # against the latest python record, numpy against numpy.
-        previous_path = latest_bench(args.repo, backend=backend)
+        previous_path = latest_bench(args.repo)
         if previous_path is None:
-            print(f"[no {backend}-backend BENCH_*.json under {args.repo}; "
-                  "nothing to compare]")
+            print(f"[no BENCH_*.json under {args.repo}; nothing to compare]")
             return 0
     if previous_path is None:
         return 0
@@ -234,7 +229,7 @@ def _explain_bench_regression(profile_path: Optional[str],
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-analyze",
+        prog="repro analyze",
         description="Analyze, compare, and regression-gate finished runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,7 @@ Two finished runs (or two whole trace directories) diff in three parts:
   (``events_per_sec`` regresses down, ``mean_partition_gap`` regresses
   up); tiny absolute wobbles below a per-metric floor never count;
 - **verdict** — :func:`ComparisonResult.regressed` is the CI gate: the
-  ``repro-analyze compare`` command exits non-zero when any thresholded
+  ``repro analyze compare`` command exits non-zero when any thresholded
   metric regressed.
 """
 

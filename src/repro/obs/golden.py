@@ -35,11 +35,8 @@ from typing import Optional, Union
 GOLDEN_SCHEMA = 1
 
 #: Manifest keys that vary run-to-run (or machine-to-machine) and are
-#: therefore excluded from fingerprints.  ``backend`` is provenance, not
-#: simulation input: backends are bit-identical by contract, and golden
-#: comparisons across backends are exactly how that contract is checked.
-VOLATILE_MANIFEST_KEYS = ("wall_seconds", "events_per_sec", "git_sha",
-                          "backend")
+#: therefore excluded from fingerprints.
+VOLATILE_MANIFEST_KEYS = ("wall_seconds", "events_per_sec", "git_sha")
 
 #: Fingerprint keys that depend on the *final* ``sim.now`` and on the
 #: sampler's own events. The telemetry sampler legitimately keeps the

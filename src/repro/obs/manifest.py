@@ -14,7 +14,6 @@ import subprocess
 from pathlib import Path
 from typing import Optional
 
-from repro.backends import active_backend_name
 from repro.obs.spans import current_traceparent
 
 MANIFEST_SCHEMA = 1
@@ -86,11 +85,4 @@ def build_manifest(
         # jobs): the request's W3C trace id follows the run into its
         # provenance record, closing the request -> cell -> trace loop.
         manifest["traceparent"] = traceparent
-    backend = active_backend_name()
-    if backend != "python":
-        # Provenance only — backends are bit-identical by contract, so
-        # the key appears solely when a non-default backend produced the
-        # run (same conditional pattern as traceparent; golden
-        # comparisons treat it as volatile).
-        manifest["backend"] = backend
     return manifest

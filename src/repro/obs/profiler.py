@@ -101,15 +101,11 @@ class Profile:
         for key in ("duration_seconds", "samples_dropped"):
             if key in other.meta:
                 self.meta[key] = self.meta.get(key, 0) + other.meta[key]
-        for key in ("hz", "backend"):
-            # Provenance keys: adopted on first merge, degraded to
-            # "mixed" when folded profiles disagree (e.g. merging a
-            # python-backend cell profile into a numpy-backend one).
-            if key in other.meta:
-                if self.meta.get(key, other.meta[key]) != other.meta[key]:
-                    self.meta[key] = "mixed"
-                else:
-                    self.meta[key] = other.meta[key]
+        if "hz" in other.meta:
+            # Adopted on first merge; "mixed" when folded profiles were
+            # sampled at different rates.
+            hz = other.meta["hz"]
+            self.meta["hz"] = hz if self.meta.get("hz", hz) == hz else "mixed"
 
     # -- views ----------------------------------------------------------
 

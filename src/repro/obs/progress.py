@@ -6,7 +6,7 @@ tolerating files that appear mid-run and lines that are only partially
 flushed (a record is consumed only once its trailing newline exists).
 The simulation service points one at a job's trace directory and
 forwards a sampled stream of records to the job's SSE progress feed;
-``repro-analyze`` stays the offline, post-hoc consumer of the same
+``repro analyze`` stays the offline, post-hoc consumer of the same
 files.
 
 The tailer is read-only and stateless on disk: it keeps per-file byte

@@ -108,7 +108,7 @@ def iter_trace(path: Union[str, Path],
     mid-write — is tolerated but **counted**: the drop increments the
     ``repro_trace_torn_lines_total`` metric and, when the caller passes
     a ``stats`` dict, its ``"torn_lines"`` entry — so the data loss is
-    visible in ``repro-analyze`` reports and on ``/metrics`` instead of
+    visible in ``repro analyze`` reports and on ``/metrics`` instead of
     silent.  An unparsable line anywhere else means the file is corrupt
     and raises ``json.JSONDecodeError``.
     """

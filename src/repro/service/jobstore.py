@@ -52,6 +52,16 @@ EVENTS_PRUNED = REGISTRY.counter(
     "repro_jobstore_events_pruned_total",
     "Per-job progress-event rows pruned from terminal jobs past the TTL")
 
+
+def _stored_request(text: str) -> ExperimentRequest:
+    """A job row's request. Rows written by older releases carry a
+    ``backend`` field the request no longer has; it is dropped here so
+    existing databases stay readable (``POST /jobs`` still rejects it)."""
+    data = json.loads(text)
+    data.pop("backend", None)
+    return ExperimentRequest.from_dict(data)
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
     id               TEXT PRIMARY KEY,
@@ -455,7 +465,7 @@ class JobStore:
         return JobStatus(
             id=row["id"],
             state=row["state"],
-            request=ExperimentRequest.from_dict(json.loads(row["request"])),
+            request=_stored_request(row["request"]),
             fingerprint=row["fingerprint"],
             attempts=row["attempts"],
             error=row["error"],

@@ -15,7 +15,7 @@ non-zero exit for CI.
 - :mod:`repro.validate.evaluate` — claims × results → validation doc;
 - :mod:`repro.validate.report` — JSON round-trip and markdown tables;
 - :mod:`repro.validate.diff` — baseline/candidate verdict comparison;
-- :mod:`repro.validate.cli` — the ``repro-validate`` command.
+- :mod:`repro.validate.cli` — the ``repro validate`` command.
 """
 
 from repro.validate.predicates import (

@@ -1,16 +1,16 @@
-"""``repro-validate`` — run, report, and diff paper-shape verdicts.
+"""``repro validate`` — run, report, and diff paper-shape verdicts.
 
 Usage::
 
-    repro-validate run all --scale smoke --jobs 8    # run + judge claims
-    repro-validate run fig06 fig11 --out v.json --md verdicts.md
-    repro-validate report validation.json            # re-render a document
-    repro-validate diff validation.json              # vs committed VERDICTS.json
-    repro-validate diff baseline.json candidate.json # explicit pair
-    repro-validate diff v.json --only baselines prefetch  # scoped gate
+    repro validate run all --scale smoke --jobs 8    # run + judge claims
+    repro validate run fig06 fig11 --out v.json --md verdicts.md
+    repro validate report validation.json            # re-render a document
+    repro validate diff validation.json              # vs committed VERDICTS.json
+    repro validate diff baseline.json candidate.json # explicit pair
+    repro validate diff v.json --only baselines prefetch  # scoped gate
 
 ``run`` executes the named experiments through the same cell engine as
-``repro-experiment`` (shared cache and all), judges every registered
+``repro experiment`` (shared cache and all), judges every registered
 claim, writes ``validation.json`` plus an optional markdown verdict
 table, and exits non-zero when any claim fails. ``diff`` exits
 non-zero when a verdict flipped into a failing state relative to the
@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.backends import BACKEND_NAMES
 from repro.errors import ReproError
 from repro.validate.diff import diff_validations
 from repro.validate.evaluate import (
@@ -41,8 +40,8 @@ from repro.validate.report import (
     write_validation,
 )
 
-#: The committed baseline ``repro-validate diff`` compares against by
-#: default (regenerate with ``repro-validate run all --out VERDICTS.json``).
+#: The committed baseline ``repro validate diff`` compares against by
+#: default (regenerate with ``repro validate run all --out VERDICTS.json``).
 DEFAULT_BASELINE = "VERDICTS.json"
 
 
@@ -53,7 +52,6 @@ def validate_experiments(
     jobs: int = 1,
     cache=None,
     resume: bool = False,
-    backend: Optional[str] = None,
 ) -> dict:
     """Run experiments and judge their claims; returns the document.
 
@@ -75,7 +73,7 @@ def validate_experiments(
         spec = get_spec(name)
         try:
             result = run_spec(spec, scale=scale, jobs=jobs, cache=cache,
-                              resume=resume, backend=backend)
+                              resume=resume)
         except ReproError as exc:
             entries[name] = failed_entry(spec.title, str(exc))
             continue
@@ -107,8 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else CellCache(
         args.cache_dir or default_cache_dir())
     doc = validate_experiments(names, args.scale, jobs=max(1, args.jobs),
-                               cache=cache, resume=args.resume,
-                               backend=args.backend)
+                               cache=cache, resume=args.resume)
     path = write_validation(args.out, doc)
     print(f"[validation document written to {path}]")
     if args.md:
@@ -180,7 +177,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-validate",
+        prog="repro validate",
         description="Machine-check the paper's shape claims.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,14 +194,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      help="worker processes (default: all cores)")
     run.add_argument("--cache-dir", metavar="DIR", default=None,
                      help="cell cache location (shared with "
-                          "repro-experiment)")
+                          "'repro experiment')")
     run.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk cell cache")
     run.add_argument("--resume", action="store_true",
                      help="retry cells whose previous attempt failed")
-    run.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                     help="simulation backend (python, numpy, auto); "
-                          "results are bit-identical across backends")
     run.add_argument("--out", metavar="FILE", default="validation.json",
                      help="validation document path (default: "
                           "validation.json)")

@@ -2,7 +2,7 @@
 
 The document is deliberately deterministic: no timestamps, no git SHA,
 no wall-clock — two runs over identical results produce byte-identical
-JSON, so ``repro-validate diff`` and the committed ``VERDICTS.json``
+JSON, so ``repro validate diff`` and the committed ``VERDICTS.json``
 baseline see only genuine verdict changes.
 
 Experiment verdicts fold the claim statuses:
@@ -29,7 +29,7 @@ VERDICT_SYMBOLS = {
     "error": "!",
 }
 
-#: Verdicts that gate CI (repro-validate run/diff exit non-zero).
+#: Verdicts that gate CI (repro validate run/diff exit non-zero).
 FAILING_VERDICTS = ("fail", "error")
 
 

@@ -246,109 +246,6 @@ def generate_trace(
         yield gap, is_write, line
 
 
-def trace_columns(
-    profile: WorkloadProfile,
-    num_refs: int,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> tuple[list[int], list[float], list[int]]:
-    """Column-wise twin of :func:`generate_trace` at ``base_line == 0``.
-
-    Returns ``(gaps, write_draws, rel_lines)``: ``write_draws`` holds
-    the raw ``rng.random()`` value the generator compares against the
-    write fraction, and ``rel_lines`` are base-0 line addresses.  The
-    RNG call *sequence* is identical to the generator's — the same
-    ``getrandbits`` rejection loops, in the same order, on the same
-    ``Random`` state — so a vectorizing backend can batch the final
-    ``line = base + rel`` / ``is_write = draw < wf`` materialization
-    (pure arithmetic; no entropy) while the random stream stays
-    byte-identical.  ``base_line`` never enters the RNG stream, which is
-    why one base-0 column set serves every per-core offset.
-    """
-    if num_refs <= 0:
-        raise WorkloadError(f"num_refs must be positive, got {num_refs}")
-    rng = random.Random(_seed_for(profile, seed))
-    regions = _layout(profile, scale)
-
-    mean_gap = max(0, 1000 // profile.mem_per_kilo - 1)
-    mix = profile.mix
-    t_local = mix.local
-    t_stream = t_local + mix.stream
-    t_hot = t_stream + mix.hot
-    t_fresh = t_hot + mix.fresh
-
-    stride = profile.stride_lines
-    stream_pos = [
-        regions.stream_lines * i // NUM_STREAMS for i in range(NUM_STREAMS)
-    ]
-    stream_idx = 0
-    fresh_ptr = regions.fresh_base
-
-    rand = rng.random
-    getrandbits = rng.getrandbits
-    gap_span = 2 * mean_gap + 1
-    gap_bits = gap_span.bit_length()
-    local_lines = regions.local_lines
-    local_bits = local_lines.bit_length()
-    stream_mod = max(1, regions.stream_lines)
-    hot_sectors = max(1, regions.hot_lines // SECTOR_LINES)
-    hot_base = regions.hot_base
-    hot_bits = hot_sectors.bit_length()
-    hot_move = 1.0 / profile.hot_sector_burst
-    hot_sector_base = hot_base
-    sector_bits = SECTOR_LINES.bit_length()
-    sparse_base = regions.sparse_base
-    sparse_regions = regions.sparse_regions
-    sparse_bits = sparse_regions.bit_length()
-
-    gaps: list[int] = []
-    draws: list[float] = []
-    rels: list[int] = []
-    append_gap = gaps.append
-    append_draw = draws.append
-    append_rel = rels.append
-    for _ in range(num_refs):
-        if mean_gap:
-            gap = getrandbits(gap_bits)
-            while gap >= gap_span:
-                gap = getrandbits(gap_bits)
-        else:
-            gap = 0
-        draw = rand()
-        if draw < t_local:
-            r = getrandbits(local_bits)
-            while r >= local_lines:
-                r = getrandbits(local_bits)
-            rel = LOCAL_REGION_OFFSET + r
-        elif draw < t_stream:
-            pos = stream_pos[stream_idx]
-            rel = pos % stream_mod
-            stream_pos[stream_idx] = (pos + stride) % stream_mod
-            stream_idx = (stream_idx + 1) % NUM_STREAMS
-        elif draw < t_hot:
-            if rand() < hot_move:
-                r = getrandbits(hot_bits)
-                while r >= hot_sectors:
-                    r = getrandbits(hot_bits)
-                hot_sector_base = hot_base + r * SECTOR_LINES
-            r = getrandbits(sector_bits)
-            while r >= SECTOR_LINES:
-                r = getrandbits(sector_bits)
-            rel = hot_sector_base + r
-        elif draw < t_fresh:
-            rel = fresh_ptr
-            fresh_ptr += 1
-        else:
-            r = getrandbits(sparse_bits)
-            while r >= sparse_regions:
-                r = getrandbits(sparse_bits)
-            rel = sparse_base + r * SECTOR_LINES
-        append_gap(gap)
-        append_rel(rel)
-        append_draw(rand())
-    return gaps, draws, rels
-
-
 def warm_lines(
     profile: WorkloadProfile,
     base_line: int = 0,
@@ -371,36 +268,6 @@ def warm_lines(
     sparse_start = base_line + regions.sparse_base
     for region in range(regions.sparse_regions):
         yield sparse_start + region * SECTOR_LINES, rand() < wf
-
-
-def warm_columns(
-    profile: WorkloadProfile,
-    scale: float = 1.0,
-    seed: int = 0,
-) -> tuple[list[tuple[int, int]], tuple[int, int], list[float]]:
-    """Column-wise twin of :func:`warm_lines` at ``base_line == 0``.
-
-    Returns ``(spans, sparse, draws)``: ``spans`` is the base-0
-    ``[start, stop)`` contiguous line ranges (stream, then hot),
-    ``sparse`` is ``(start, regions)`` for the one-line-per-4KB sparse
-    heads, and ``draws`` holds the raw ``rng.random()`` dirty draw for
-    every warm line in yield order.  The draw sequence is exactly the
-    generator's (one ``random()`` per line, same seeding), so comparing
-    the draws against the write fraction — scalar or vectorized —
-    reproduces :func:`warm_lines` bit for bit.
-    """
-    rng = random.Random(_seed_for(profile, seed) ^ 0x5A5A5A5A)
-    regions = _layout(profile, scale)
-    spans: list[tuple[int, int]] = []
-    if profile.mix.stream > 0:
-        spans.append((0, regions.stream_lines))
-    if profile.mix.hot > 0:
-        spans.append((regions.hot_base,
-                      regions.hot_base + regions.hot_lines))
-    total = sum(stop - start for start, stop in spans) + regions.sparse_regions
-    rand = rng.random
-    draws = [rand() for _ in range(total)]
-    return spans, (regions.sparse_base, regions.sparse_regions), draws
 
 
 def core_base_line(core_id: int) -> int:

@@ -1,4 +1,4 @@
-"""``repro-analyze`` CLI smoke tests: report/compare/bench subcommands,
+"""``repro analyze`` CLI smoke tests: report/compare/bench subcommands,
 exit codes, and the crash-safety path of the trace writer."""
 
 import json

@@ -1,13 +1,8 @@
-"""The unified ``repro`` CLI and the deprecated console-script shims."""
+"""The unified ``repro`` CLI."""
 
 import pytest
 
-from repro.cli import (
-    analyze_shim,
-    experiment_shim,
-    main,
-    validate_shim,
-)
+from repro.cli import main
 
 
 def test_help_lists_every_subcommand(capsys):
@@ -93,28 +88,3 @@ def test_log_level_requires_a_value(capsys):
 def test_bad_log_level_is_an_error(capsys):
     assert main(["--log-level=loud", "experiment", "--list"]) == 2
     assert "unknown log level" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims
-# ----------------------------------------------------------------------
-
-def test_experiment_shim_warns_then_delegates(capsys):
-    assert experiment_shim(["--list"]) == 0
-    captured = capsys.readouterr()
-    assert "'repro-experiment' is deprecated" in captured.err
-    assert "repro experiment" in captured.err
-    assert "fig06" in captured.out  # the real subcommand still ran
-
-
-@pytest.mark.parametrize("shim, old", [
-    (analyze_shim, "repro-analyze"),
-    (validate_shim, "repro-validate"),
-])
-def test_other_shims_warn_then_delegate(shim, old, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        shim(["--help"])
-    assert excinfo.value.code == 0
-    captured = capsys.readouterr()
-    assert f"'{old}' is deprecated" in captured.err
-    assert captured.out

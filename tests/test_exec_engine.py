@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.backends.base import TraceStore, active_backend
 from repro.errors import ReproError
 from repro.experiments.cellcache import (
     CellCache,
@@ -180,3 +181,50 @@ def test_fig06_parallel_matches_serial(tmp_path):
     assert warm.stats.executed == 0
     assert warm.stats.cache_hits == warm.stats.total == 2
     assert "0 executed" in warm.stats.summary()
+
+
+# ------------------------------------------------------- trace store
+
+
+def test_trace_store_counts_and_identity():
+    store = TraceStore()
+    built = []
+
+    def build():
+        built.append(1)
+        return [(0, False, 1), (1, True, 2)]
+
+    a = store.trace(("k",), build)
+    b = store.trace(("k",), build)
+    assert a is b and len(built) == 1
+    assert (store.generated, store.reused) == (1, 1)
+
+
+def test_trace_store_evicts_at_capacity():
+    store = TraceStore(max_refs=3)
+    store.trace(("a",), lambda: [(0, False, 0)] * 2)
+    store.trace(("b",), lambda: [(0, False, 0)] * 2)  # evicts "a" (FIFO)
+    store.trace(("a",), lambda: [(0, False, 0)] * 2)
+    assert store.generated == 3 and store.reused == 0
+
+
+def test_trace_reuse_across_cells_and_summary():
+    cells = [_mix_cell("mcf/baseline"),
+             MixCell("mcf/dap", rate_mix("mcf"),
+                     scaled_config(SMOKE, policy="dap"), SMOKE)]
+    n = rate_mix("mcf").num_cores
+    _, stats = execute_cells(cells)
+    # The baseline cell materializes one trace per core; the dap cell
+    # replays the same (workload, seed) pairs from the store.
+    assert stats.traces_generated == n
+    assert stats.traces_reused == n
+    assert f"traces: {n} generated, {n} reused" in stats.summary()
+
+
+def test_each_invocation_starts_a_fresh_trace_store():
+    before = active_backend()
+    before.store.generated = 7
+    execute_cells([TaskCell("t", steady_task, kwargs=(("value", 1.0),))])
+    after = active_backend()
+    assert after is not before
+    assert after.store.generated == 0

@@ -11,7 +11,8 @@ from repro.experiments.common import (
     get_scale,
     scaled_config,
 )
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.api import run_experiment
+from repro.experiments.runner import EXPERIMENTS
 from repro.metrics.speedup import (
     geomean,
     normalized_weighted_speedup,

@@ -11,8 +11,6 @@ attribute to one of these classes means adding it to ``__slots__``.
 import pytest
 
 from repro.backends.base import SimBackend, TraceStore
-from repro.backends.numpy_backend import NumpyBackend
-from repro.backends.python_backend import PythonBackend
 from repro.cache.replacement import LRUPolicy, NRUPolicy
 from repro.cache.sectored import SectoredCacheArray, _Sector
 from repro.cache.sram_cache import Eviction, SRAMCache, _Line
@@ -35,12 +33,9 @@ HOT_PATH_CLASSES = [
     _Sector,
     LRUPolicy,
     NRUPolicy,
-    # Backends sit on the trace-materialization path; their classes are
-    # importable (and slotted) whether or not numpy is installed.
+    # Trace materialization: one store per invocation, one front.
     TraceStore,
     SimBackend,
-    PythonBackend,
-    NumpyBackend,
 ]
 
 

@@ -122,16 +122,16 @@ def test_merge_collapsed_sums_counts_across_captures():
     assert top[0][0] == "m.f"
 
 
-def test_merge_carries_backend_attribution():
-    """Per-cell profiles are stamped with the producing backend; the
-    merged profile keeps it while agreeing, degrades to 'mixed'."""
+def test_merge_carries_sample_rate():
+    """The merged profile keeps the per-cell sample rate while the
+    folded profiles agree, and degrades to 'mixed' when they do not."""
     merged = Profile()
-    merged.merge(Profile(meta={"backend": "numpy", "hz": 101}))
-    merged.merge(Profile(meta={"backend": "numpy", "hz": 101}))
-    assert merged.meta["backend"] == "numpy"
-    assert "# backend: numpy" in merged.collapsed()
-    merged.merge(Profile(meta={"backend": "python"}))
-    assert merged.meta["backend"] == "mixed"
+    merged.merge(Profile(meta={"hz": 101}))
+    merged.merge(Profile(meta={"hz": 101}))
+    assert merged.meta["hz"] == 101
+    assert "# hz: 101" in merged.collapsed()
+    merged.merge(Profile(meta={"hz": 250}))
+    assert merged.meta["hz"] == "mixed"
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +148,6 @@ def test_engine_profiles_cells_and_writes_sidecars(tmp_path):
         profile = Profile.parse(text)
         assert profile.total_samples > 0
         assert profile.cells() == [label]
-        assert profile.meta["backend"] == "python"
     # Each executed cell left a profile sidecar next to its cache entry.
     from repro.experiments.cellcache import cell_key
 

@@ -1,10 +1,11 @@
-"""Tests for the repro-experiment command-line interface."""
+"""Tests for the ``repro experiment`` command-line interface."""
 
 import json
 from dataclasses import replace
 
 import pytest
 
+from repro.api import run_experiment
 from repro.experiments.exec import (
     CellExecutionError,
     ExperimentSpec,
@@ -12,7 +13,7 @@ from repro.experiments.exec import (
     run_spec,
 )
 from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.runner import main, run_experiment
+from repro.experiments.runner import main
 
 
 def test_cli_runs_fig01_with_chart_and_csv(tmp_path, capsys):
@@ -71,17 +72,10 @@ def test_cli_reports_cache_hits_in_summary(tmp_path, capsys):
 
 
 def test_run_experiment_passes_workload_subset():
-    result = run_experiment("fig07", scale_name="smoke", workloads=["mcf"])
+    result = run_experiment("fig07", scale="smoke", workloads=("mcf",))
     names = [row[0] for row in result.rows]
     assert "mcf" in names
     assert "omnetpp" not in names
-
-
-def test_run_experiment_warns_on_ignored_workloads():
-    with pytest.warns(UserWarning, match="does not take a workload"):
-        result = run_experiment("fig01", scale_name="smoke",
-                                workloads=["mcf"])
-    assert result.rows
 
 
 def test_cli_scale_flag_validation(capsys):

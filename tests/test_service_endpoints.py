@@ -283,20 +283,19 @@ def test_submit_poll_result_round_trip(client, pool):
     assert job["id"] in [j["id"] for j in listed]
 
 
-def test_submit_round_trips_backend_and_profile(client):
-    """`backend` and `profile` travel the service schema untouched and —
-    being execution knobs, not simulation inputs — leave the request
-    fingerprint alone, so jobs dedupe across backends."""
+def test_submit_round_trips_profile(client):
+    """`profile` travels the service schema untouched and — being an
+    execution knob, not a simulation input — leaves the request
+    fingerprint alone. Unknown fields are rejected."""
     plain = client.post("/jobs", json_body=REQUEST_BODY).json()
-    body = dict(REQUEST_BODY, backend="auto", profile=True)
+    body = dict(REQUEST_BODY, profile=True)
     job = client.post("/jobs", json_body=body).json()
-    assert job["request"]["backend"] == "auto"
     assert job["request"]["profile"] is True
     assert job["fingerprint"] == plain["fingerprint"]
 
-    bad = client.post("/jobs", json_body=dict(REQUEST_BODY, backend="rust"))
+    bad = client.post("/jobs", json_body=dict(REQUEST_BODY, backend="auto"))
     assert bad.status == 400
-    assert "unknown backend" in bad.json()["error"]
+    assert "unknown request field" in bad.json()["error"]
 
 
 def test_sse_replay_has_cell_progress_before_done(client, pool):

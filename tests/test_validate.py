@@ -359,7 +359,7 @@ def test_diff_tracks_added_and_removed_claims():
 
 
 # ----------------------------------------------------------------------
-# The repro-validate CLI gate
+# The repro validate CLI gate
 # ----------------------------------------------------------------------
 
 def shape_doc(rows):
