@@ -6,12 +6,14 @@
 - :mod:`repro.core.credits` — saturating credit counters (the ~16 bytes
   of hardware), with division-free (K+1)-scaled arithmetic.
 - :mod:`repro.core.window` — per-window demand observation.
-- :mod:`repro.core.dap_sectored` — the Fig. 3 algorithm for sectored
-  DRAM caches (FWB, WB, IFRM, SFRM).
-- :mod:`repro.core.dap_alloy` — the Alloy cache variant (IFRM via the
-  dirty-bit cache + opportunistic write-through).
-- :mod:`repro.core.dap_edram` — the three-source eDRAM variant
+- :mod:`repro.core.dap` — the per-window solves, one pure function per
+  architecture: the Fig. 3 algorithm for sectored DRAM caches (FWB, WB,
+  IFRM, SFRM), the Alloy variant (IFRM via the dirty-bit cache +
+  opportunistic write-through) and the three-source eDRAM variant
   (Equations 9-12).
+
+The window/credit engine that runs these solves is
+:class:`repro.policies.dap.DapPolicy`.
 """
 
 from repro.core.bandwidth_model import (
@@ -24,9 +26,14 @@ from repro.core.bandwidth_model import (
 )
 from repro.core.credits import CreditCounter, approximate_k
 from repro.core.window import WindowStats, EdramWindowStats
-from repro.core.dap_sectored import DapSectored, SectoredTargets
-from repro.core.dap_alloy import DapAlloy, AlloyTargets
-from repro.core.dap_edram import DapEdram, EdramTargets
+from repro.core.dap import (
+    AlloyTargets,
+    EdramTargets,
+    SectoredTargets,
+    solve_alloy,
+    solve_edram,
+    solve_sectored,
+)
 
 __all__ = [
     "delivered_bandwidth",
@@ -39,10 +46,10 @@ __all__ = [
     "approximate_k",
     "WindowStats",
     "EdramWindowStats",
-    "DapSectored",
     "SectoredTargets",
-    "DapAlloy",
     "AlloyTargets",
-    "DapEdram",
     "EdramTargets",
+    "solve_sectored",
+    "solve_alloy",
+    "solve_edram",
 ]

@@ -7,8 +7,9 @@ approximated by a small rational so the multiply is cheap in hardware —
 8/3 becomes 11/4 for the default platform.
 
 We mirror that arithmetic exactly: a :class:`CreditCounter` keeps an
-integer value in units of ``1/denominator`` and saturates at the width
-the paper budgets (eight bits of whole units).
+integer value in units of ``1/denominator`` of its per-application cost
+and saturates at the width the paper budgets (eight bits of whole
+units).
 """
 
 from __future__ import annotations
@@ -32,44 +33,41 @@ def approximate_k(b_cache: float, b_mm: float, denominator: int = 4) -> Fraction
 
 
 class CreditCounter:
-    """Saturating counter holding values in units of ``1/denominator``.
+    """Saturating counter charged a fixed ``cost`` per application.
 
-    ``load`` installs a window's budget (clamped to [0, max]); ``take``
-    spends one application's cost if any credit remains. The paper lets a
-    technique fire while its counter is non-zero, so ``take`` succeeds on
-    any positive value and floors at zero.
+    The cost (1, or K+1 for techniques that move an access onto main
+    memory) is fixed at construction; the counter keeps an integer value
+    in units of ``1/cost.denominator`` so spending needs no divider.
+    ``load`` installs a window's budget, counted in applications
+    (clamped to [0, max]); ``take`` spends one application's cost if any
+    credit remains. The paper lets a technique fire while its counter is
+    non-zero, so ``take`` succeeds on any positive value and floors at
+    zero. ``value`` and ``max_value`` read in whole units, so a (K+1)
+    counter holding N applications reads ``(K+1) * N``.
     """
 
-    def __init__(self, bits: int = 8, denominator: int = 1) -> None:
-        if bits <= 0 or denominator <= 0:
-            raise ConfigError("bits and denominator must be positive")
-        self.denominator = denominator
-        self._max = ((1 << bits) - 1) * denominator
+    def __init__(self, cost: Fraction | int = 1, bits: int = 8) -> None:
+        cost = Fraction(cost)
+        if bits <= 0 or cost <= 0:
+            raise ConfigError(
+                f"bits and cost must be positive, got bits={bits}, cost={cost}")
+        self.denominator = cost.denominator
+        self._cost_f = float(cost)
+        self._step = cost.numerator  # cost in 1/denominator units
+        self._max = ((1 << bits) - 1) * self.denominator
         self._value = 0
 
     # ------------------------------------------------------------------
-    def load(self, amount: Fraction | int | float) -> None:
-        """Set the counter to ``amount`` (whole units), saturating."""
-        scaled = int(amount * self.denominator)
+    def load(self, n: Fraction | int | float) -> None:
+        """Set the counter to a budget of ``n`` applications, saturating."""
+        scaled = int(n * self._cost_f * self.denominator)
         self._value = max(0, min(self._max, scaled))
 
-    def take(self, cost: Fraction | int = 1) -> bool:
-        """Spend ``cost`` whole units; True if any credit was available."""
+    def take(self) -> bool:
+        """Spend one application's cost; True if any credit was available."""
         if self._value <= 0:
             return False
-        self._value = max(0, self._value - int(cost * self.denominator))
-        return True
-
-    def take_scaled(self, scaled_cost: int) -> bool:
-        """:meth:`take` with the cost already in ``1/denominator`` units.
-
-        Per-decision hot paths precompute ``int(cost * denominator)``
-        once (it is constant per counter) instead of paying a Fraction
-        multiply per query; the arithmetic is exactly :meth:`take`'s.
-        """
-        if self._value <= 0:
-            return False
-        self._value = max(0, self._value - scaled_cost)
+        self._value = max(0, self._value - self._step)
         return True
 
     # ------------------------------------------------------------------
@@ -77,10 +75,6 @@ class CreditCounter:
     def value(self) -> float:
         """Current credit in whole units."""
         return self._value / self.denominator
-
-    @property
-    def raw(self) -> int:
-        return self._value
 
     @property
     def max_value(self) -> float:

@@ -32,31 +32,12 @@ class WindowStats:
     writes: int = 0
     clean_hits: int = 0
 
-    def note_ms_access(self, count: int = 1) -> None:
-        self.a_ms += count
-
-    def note_mm_access(self, count: int = 1) -> None:
-        self.a_mm += count
-
-    def note_read_miss(self) -> None:
-        self.read_misses += 1
-
-    def note_write(self) -> None:
-        self.writes += 1
-
-    def note_clean_hit(self) -> None:
-        self.clean_hits += 1
-
     def reset(self) -> None:
         self.a_ms = 0
         self.a_mm = 0
         self.read_misses = 0
         self.writes = 0
         self.clean_hits = 0
-
-    def snapshot(self) -> "WindowStats":
-        return WindowStats(self.a_ms, self.a_mm, self.read_misses,
-                           self.writes, self.clean_hits)
 
 
 @dataclass
@@ -75,24 +56,6 @@ class EdramWindowStats:
     writes: int = 0
     clean_hits: int = 0
 
-    def note_ms_read(self, count: int = 1) -> None:
-        self.a_ms_read += count
-
-    def note_ms_write(self, count: int = 1) -> None:
-        self.a_ms_write += count
-
-    def note_mm_access(self, count: int = 1) -> None:
-        self.a_mm += count
-
-    def note_read_miss(self) -> None:
-        self.read_misses += 1
-
-    def note_write(self) -> None:
-        self.writes += 1
-
-    def note_clean_hit(self) -> None:
-        self.clean_hits += 1
-
     def reset(self) -> None:
         self.a_ms_read = 0
         self.a_ms_write = 0
@@ -100,7 +63,3 @@ class EdramWindowStats:
         self.read_misses = 0
         self.writes = 0
         self.clean_hits = 0
-
-    def snapshot(self) -> "EdramWindowStats":
-        return EdramWindowStats(self.a_ms_read, self.a_ms_write, self.a_mm,
-                                self.read_misses, self.writes, self.clean_hits)

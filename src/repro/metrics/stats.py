@@ -11,6 +11,7 @@ from typing import Optional
 
 from repro.hierarchy.system import System
 from repro.mem.request import AccessKind
+from repro.policies.dap import DapPolicy
 
 
 @dataclass
@@ -93,10 +94,8 @@ def collect_result(system: System) -> RunResult:
     tag_cache = getattr(msc, "tag_cache", None)
     tag_miss_rate = tag_cache.miss_rate() if tag_cache is not None else None
 
-    decisions: dict[str, int] = {}
-    engine = getattr(msc.policy, "engine", None)
-    if engine is not None and hasattr(engine, "decisions"):
-        decisions = dict(engine.decisions)
+    decisions: dict[str, int] = (dict(msc.policy.decisions)
+                                 if isinstance(msc.policy, DapPolicy) else {})
 
     mm_cas = msc.mm_dev.total_cas()
     cache_cas = _cache_cas_total(system)

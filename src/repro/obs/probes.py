@@ -3,7 +3,7 @@
 :func:`attach_system_probes` registers the series the paper's dynamics
 live in:
 
-- **DAP engine** — per-technique credit counters (the Section IV
+- **DAP policy** — per-technique credit counters (the Section IV
   ``B_1/f_1 = B_2/f_2`` balancing state), current-window demand fill
   (``a_ms``/``a_mm``/supplies), and cumulative grant counts;
 - **DRAM devices** (main memory, cache channels, and the eDRAM write
@@ -22,26 +22,24 @@ from __future__ import annotations
 import dataclasses
 
 from repro.obs.telemetry import Telemetry
+from repro.policies.dap import DapPolicy
 
 #: Smoothing factor of the read-latency EWMA (per probe interval).
 LATENCY_EWMA_ALPHA = 0.25
 
 
-def _register_engine_probes(tel: Telemetry, engine) -> None:
-    if hasattr(engine, "credit_state"):
-        for name in engine.credit_state():
-            tel.register(f"dap.credits.{name}",
-                         lambda e=engine, n=name: e.credit_state()[n])
-    stats = getattr(engine, "stats", None)
-    if stats is not None and dataclasses.is_dataclass(stats):
-        for field in dataclasses.fields(stats):
-            tel.register(f"dap.window.{field.name}",
-                         lambda s=stats, n=field.name: getattr(s, n))
-    decisions = getattr(engine, "decisions", None)
-    if isinstance(decisions, dict):
-        for name in decisions:
-            tel.register(f"dap.granted.{name}",
-                         lambda d=decisions, n=name: d[n])
+def _register_dap_probes(tel: Telemetry, policy: DapPolicy) -> None:
+    for name in policy.credit_state():
+        tel.register(f"dap.credits.{name}",
+                     lambda p=policy, n=name: p.credit_state()[n])
+    stats = policy.stats
+    for field in dataclasses.fields(stats):
+        tel.register(f"dap.window.{field.name}",
+                     lambda s=stats, n=field.name: getattr(s, n))
+    decisions = policy.decisions
+    for name in decisions:
+        tel.register(f"dap.granted.{name}",
+                     lambda d=decisions, n=name: d[n])
 
 
 def _window_gbps_probe(device):
@@ -92,9 +90,8 @@ def attach_system_probes(tel: Telemetry, system) -> Telemetry:
     """Wire the standard probe set into a built system; returns ``tel``."""
     msc = system.msc
 
-    engine = getattr(msc.policy, "engine", None)
-    if engine is not None:
-        _register_engine_probes(tel, engine)
+    if isinstance(msc.policy, DapPolicy):
+        _register_dap_probes(tel, msc.policy)
     msc.policy.observer = tel
 
     _register_device_probes(tel, "mm", msc.mm_dev)

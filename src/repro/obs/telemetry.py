@@ -211,13 +211,13 @@ class Telemetry:
             sim.schedule(self.interval, self._sample)
 
     # ------------------------------------------------------------------
-    # Decision observer (called by steering-policy adapters)
+    # Decision observer (called by the DAP steering policies)
     # ------------------------------------------------------------------
     def decision(self, now: int, line: int, technique: str, granted: bool,
-                 engine=None) -> None:
+                 policy=None) -> None:
         """Record one steering decision, subject to the sampling stride.
 
-        ``engine`` (when given) supplies ``credit_state()`` — snapshotted
+        ``policy`` (when given) supplies ``credit_state()`` — snapshotted
         only for the decisions that survive the stride, so full-rate runs
         stay cheap even at ``event_sample=100``.
         """
@@ -226,9 +226,7 @@ class Telemetry:
         self.decisions_seen += 1
         if (self.decisions_seen - 1) % self.event_sample:
             return
-        credits = (engine.credit_state()
-                   if engine is not None and hasattr(engine, "credit_state")
-                   else {})
+        credits = policy.credit_state() if policy is not None else {}
         record = {
             "cycle": now,
             "line": line,

@@ -6,8 +6,8 @@ between the cache and main memory. Implementations:
 
 - :mod:`repro.policies.base` — the no-op baseline (traditional
   hit-rate-maximizing operation) and the hook protocol;
-- :mod:`repro.policies.dap` — adapters wiring the paper's DAP engines
-  (:mod:`repro.core`) into the controllers;
+- :mod:`repro.policies.dap` — the paper's DAP: one window/credit
+  engine driving each architecture's solve (:mod:`repro.core.dap`);
 - :mod:`repro.policies.sbd` — Self-Balancing Dispatch (Sim et al.,
   MICRO 2012) and its SBD-WT variant;
 - :mod:`repro.policies.batman` — BATMAN set-disabling toward a target
@@ -23,7 +23,7 @@ between the cache and main memory. Implementations:
 """
 
 from repro.policies.base import SteeringPolicy, BaselinePolicy
-from repro.policies.dap import (DapSectoredPolicy, DapAlloyPolicy,
+from repro.policies.dap import (DapPolicy, DapSectoredPolicy, DapAlloyPolicy,
                                 DapEdramPolicy, ThreadAwareDapPolicy)
 from repro.policies.sbd import SbdPolicy
 from repro.policies.batman import BatmanPolicy
@@ -35,6 +35,7 @@ from repro.policies.cbp import CbpPolicy
 __all__ = [
     "SteeringPolicy",
     "BaselinePolicy",
+    "DapPolicy",
     "DapSectoredPolicy",
     "DapAlloyPolicy",
     "DapEdramPolicy",

@@ -50,11 +50,12 @@ def test_counter_floors_at_zero():
 def test_scaled_counter_implements_k_plus_1_arithmetic():
     # (K+1) * N_WB with K = 11/4: cost per application is 15/4.
     k = Fraction(11, 4)
-    c = CreditCounter(bits=8, denominator=k.denominator)
+    c = CreditCounter(cost=k + 1)
     n_wb = 4
-    c.load(n_wb * (k + 1))  # 15 whole units
+    c.load(n_wb)
+    assert c.value == 15  # (K+1) * N_WB whole units
     applications = 0
-    while c.take(k + 1):
+    while c.take():
         applications += 1
     assert applications == n_wb
 
@@ -63,10 +64,10 @@ def test_nonzero_credit_allows_one_more_application():
     # The paper applies a technique while credits are non-zero, so a
     # fractional remainder still allows a final application.
     k = Fraction(11, 4)
-    c = CreditCounter(bits=8, denominator=4)
-    c.load(Fraction(15, 4))  # slightly under one application's cost * 2
-    assert c.take(k + 1)
-    assert not c.take(k + 1)
+    c = CreditCounter(cost=k + 1)
+    c.load(0.5)  # half an application's cost
+    assert c.take()
+    assert not c.take()
 
 
 def test_bool_and_repr():
@@ -81,20 +82,30 @@ def test_invalid_construction():
     with pytest.raises(ConfigError):
         CreditCounter(bits=0)
     with pytest.raises(ConfigError):
-        CreditCounter(denominator=0)
+        CreditCounter(cost=0)
 
 
-@given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=8))
+@given(st.integers(min_value=0, max_value=500),
+       st.integers(min_value=1, max_value=32),
+       st.sampled_from([1, 2, 4]))
 @settings(max_examples=100, deadline=None)
-def test_takes_equal_loaded_credit(budget, denom):
-    """Property: number of unit takes == min(budget, saturation)."""
-    c = CreditCounter(bits=8, denominator=denom)
+def test_takes_equal_loaded_credit(budget, num, denom):
+    """Property: takes == loaded applications, up to saturation.
+
+    Costs are K+1-style quarters (approximate_k's default denominator),
+    so the float budget arithmetic is exact; a unit cost saturates at
+    255 applications."""
+    cost = Fraction(num, denom)
+    c = CreditCounter(cost=cost)
     c.load(budget)
     takes = 0
     while c.take():
         takes += 1
-        assert takes <= 256  # safety
-    assert takes == min(budget, 255)
+        assert takes <= 256 * 4  # safety
+    saturation = -(-255 * cost.denominator // cost.numerator)
+    assert takes == min(budget, saturation)
+    if cost == 1:
+        assert takes == min(budget, 255)
 
 
 @given(st.floats(min_value=0.1, max_value=100.0),

@@ -1,8 +1,8 @@
-"""Tests for the DAP policy adapters (policy <-> engine wiring)."""
+"""Tests for the DAP steering policies' hook wiring."""
 
 import pytest
 
-from repro.core.dap_sectored import SectoredTargets
+from repro.core.dap import SectoredTargets
 from repro.policies.base import BaselinePolicy, SteeringPolicy
 from repro.policies.dap import (
     DapAlloyPolicy,
@@ -48,7 +48,7 @@ def test_sectored_adapter_delegates_notes_to_engine():
     policy.note_read_miss()
     policy.note_write()
     policy.note_clean_hit()
-    stats = policy.engine.stats
+    stats = policy.stats
     assert stats.a_ms == 3
     assert stats.a_mm == 2
     assert stats.read_misses == 1
@@ -58,7 +58,7 @@ def test_sectored_adapter_delegates_notes_to_engine():
 
 def test_sectored_adapter_decisions_consume_engine_credits():
     policy = make_sectored()
-    policy.engine.load_targets(SectoredTargets(1, 1, 1, 1))
+    policy.load_targets(SectoredTargets(1, 1, 1, 1))
     assert policy.bypass_fill(0, 1)
     assert not policy.bypass_fill(0, 2)       # exhausted
     assert policy.bypass_write(0, 3)
@@ -69,7 +69,7 @@ def test_sectored_adapter_decisions_consume_engine_credits():
 
 def test_sectored_disable_flags():
     policy = make_sectored(enable_ifrm=False, enable_wb=False)
-    policy.engine.load_targets(SectoredTargets(5, 5, 5, 5))
+    policy.load_targets(SectoredTargets(5, 5, 5, 5))
     assert not policy.force_read_miss(0, 1)
     assert not policy.bypass_write(0, 1)
     assert policy.bypass_fill(0, 1)  # FWB unaffected
@@ -78,7 +78,7 @@ def test_sectored_disable_flags():
 def test_sfrm_disabled_adapter():
     policy = DapSectoredPolicy(b_ms=0.4, b_mm=0.15, window=10**9,
                                enable_sfrm=False)
-    policy.engine.load_targets(SectoredTargets(0, 0, 0, 5))
+    policy.load_targets(SectoredTargets(0, 0, 0, 5))
     assert not policy.speculative_read(0, 1)
 
 
@@ -87,9 +87,9 @@ def test_alloy_adapter_round_trip():
     policy.note_ms_access(20)
     policy.note_mm_access(1)
     policy.note_clean_hit()
-    assert policy.engine.stats.a_ms == 20
-    policy.engine._ifrm.load(5 * float(policy.engine._cost))
-    policy.engine._wt.load(2)
+    assert policy.stats.a_ms == 20
+    policy._ifrm.load(5)
+    policy._wt.load(2)
     assert policy.force_read_miss(0, 1)
     assert policy.write_through(0, 1)
 
@@ -102,11 +102,11 @@ def test_edram_adapter_round_trip():
     policy.note_read_miss()
     policy.note_write()
     policy.note_clean_hit()
-    stats = policy.engine.stats
+    stats = policy.stats
     assert (stats.a_ms_read, stats.a_ms_write, stats.a_mm) == (4, 3, 2)
-    policy.engine._fwb.load(1)
-    policy.engine._wb.load(float(policy.engine._cost))
-    policy.engine._ifrm.load(float(policy.engine._cost))
+    policy._fwb.load(1)
+    policy._wb.load(1)
+    policy._ifrm.load(1)
     assert policy.bypass_fill(0, 1)
     assert policy.bypass_write(0, 1)
     assert policy.force_read_miss(0, 1)

@@ -1,4 +1,5 @@
-"""Tests for the three DAP per-window solvers and controller state.
+"""Tests for the three DAP per-window solvers and the policies' window
+and credit state.
 
 The default platform throughout: B_MS$ = 0.4 accesses/cycle (102.4 GB/s),
 B_MM = 0.15 accesses/cycle (38.4 GB/s), W = 64, E = 0.75, so
@@ -9,18 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dap_alloy import DapAlloy, solve_alloy
-from repro.core.dap_edram import DapEdram, solve_edram
-from repro.core.dap_sectored import DapSectored, solve_sectored
+from repro.core.dap import solve_alloy, solve_edram, solve_sectored
 from repro.core.window import EdramWindowStats, WindowStats
 from repro.errors import ConfigError
+from repro.policies.dap import DapAlloyPolicy, DapEdramPolicy, DapSectoredPolicy
 
 B_MS = 0.4
 B_MM = 0.15
 
 
 def make_dap(**kwargs):
-    return DapSectored(b_ms=B_MS, b_mm=B_MM, **kwargs)
+    return DapSectoredPolicy(b_ms=B_MS, b_mm=B_MM, **kwargs)
 
 
 def stats(a_ms=0, a_mm=0, rm=0, wm=0, clean=0):
@@ -36,7 +36,6 @@ def test_no_partitioning_when_demand_below_cache_bandwidth():
     dap = make_dap()
     t = solve_sectored(stats(a_ms=10, a_mm=2, rm=3), dap.bms_w, dap.bmm_w, dap.k)
     assert t.n_fwb == 0 and t.n_wb == 0 and t.n_ifrm == 0
-    assert not t.partitioning_active
 
 
 def test_no_partitioning_when_main_memory_is_bottleneck():
@@ -121,7 +120,7 @@ def test_solver_invariants(a_ms, a_mm, rm, wm, clean):
     assert t.n_wb <= wm + 1e-9
     assert t.n_ifrm <= clean + 1e-9
     if a_ms <= dap.bms_w:
-        assert not t.partitioning_active
+        assert t.n_fwb == t.n_wb == t.n_ifrm == 0
     # SFRM never plans beyond 80% of the memory headroom.
     assert t.n_sfrm <= 0.8 * dap.bmm_w + 1e-9
 
@@ -140,7 +139,7 @@ def test_partition_moves_toward_bandwidth_ratio():
 
 
 # ----------------------------------------------------------------------
-# Sectored controller (windows + credits)
+# Sectored policy (windows + credits)
 # ----------------------------------------------------------------------
 
 def test_controller_learns_from_previous_window():
@@ -152,7 +151,7 @@ def test_controller_learns_from_previous_window():
         dap.note_read_miss()
     dap.note_mm_access(2)
     # Cross into window 1: FWB credits should be loaded.
-    assert dap.allow_fill_bypass(now=70)
+    assert dap.bypass_fill(now=70, line=0)
     assert dap.decisions["fwb"] == 1
 
 
@@ -163,7 +162,7 @@ def test_controller_drops_partitioning_after_idle_windows():
     for _ in range(12):
         dap.note_read_miss()
     # Jump several windows ahead: stale demand must not partition.
-    assert not dap.allow_fill_bypass(now=64 * 5 + 1)
+    assert not dap.bypass_fill(now=64 * 5 + 1, line=0)
 
 
 def test_controller_credits_exhaust():
@@ -173,42 +172,31 @@ def test_controller_credits_exhaust():
     dap.note_mm_access(2)
     for _ in range(12):
         dap.note_read_miss()
-    grants = sum(dap.allow_fill_bypass(now=70) for _ in range(50))
+    grants = sum(dap.bypass_fill(now=70, line=0) for _ in range(50))
     # Budget was min(30 - 2.75*2, 30-19.2, 12) = 10.8 -> 10 integer grants
     # (credits floor at zero mid-take for the 11th).
     assert 10 <= grants <= 11
-    assert not dap.allow_fill_bypass(now=70)
+    assert not dap.bypass_fill(now=70, line=0)
 
 
 def test_sfrm_disabled_flag():
     dap = make_dap(enable_sfrm=False)
     dap.note_ms_access(5)
-    assert not dap.allow_speculative_read(now=70)
+    assert not dap.speculative_read(now=70, line=0)
 
 
 def test_efficiency_scales_window_budget():
-    full = DapSectored(b_ms=B_MS, b_mm=B_MM, efficiency=1.0)
-    eff = DapSectored(b_ms=B_MS, b_mm=B_MM, efficiency=0.75)
+    full = DapSectoredPolicy(b_ms=B_MS, b_mm=B_MM, efficiency=1.0)
+    eff = DapSectoredPolicy(b_ms=B_MS, b_mm=B_MM, efficiency=0.75)
     assert full.bms_w == pytest.approx(25.6)
     assert eff.bms_w == pytest.approx(19.2)
 
 
 def test_invalid_parameters():
     with pytest.raises(ConfigError):
-        DapSectored(b_ms=B_MS, b_mm=B_MM, window=0)
+        DapSectoredPolicy(b_ms=B_MS, b_mm=B_MM, window=0)
     with pytest.raises(ConfigError):
-        DapSectored(b_ms=B_MS, b_mm=B_MM, efficiency=0)
-
-
-def test_decision_fractions_sum_to_one():
-    dap = make_dap()
-    for _ in range(30):
-        dap.note_ms_access()
-    for _ in range(12):
-        dap.note_read_miss()
-    dap.allow_fill_bypass(now=70)
-    fractions = dap.decision_fractions()
-    assert sum(fractions.values()) == pytest.approx(1.0)
+        DapSectoredPolicy(b_ms=B_MS, b_mm=B_MM, efficiency=0)
 
 
 # ----------------------------------------------------------------------
@@ -216,12 +204,12 @@ def test_decision_fractions_sum_to_one():
 # ----------------------------------------------------------------------
 
 def test_alloy_effective_bandwidth_is_two_thirds():
-    dap = DapAlloy(b_ms=B_MS, b_mm=B_MM, efficiency=1.0)
+    dap = DapAlloyPolicy(b_ms=B_MS, b_mm=B_MM, efficiency=1.0)
     assert dap.b_ms_eff == pytest.approx(B_MS * 2 / 3)
 
 
 def test_alloy_ifrm_budget():
-    dap = DapAlloy(b_ms=B_MS, b_mm=B_MM)
+    dap = DapAlloyPolicy(b_ms=B_MS, b_mm=B_MM)
     # bms_w = 0.4*(2/3)*0.75*64 = 12.8; K = 0.2/0.1125 ~ 7/4.
     s = stats(a_ms=20, a_mm=2, clean=50)
     t = solve_alloy(s, dap.bms_w, dap.bmm_w, dap.k)
@@ -230,30 +218,30 @@ def test_alloy_ifrm_budget():
 
 
 def test_alloy_no_partitioning_below_bandwidth():
-    dap = DapAlloy(b_ms=B_MS, b_mm=B_MM)
+    dap = DapAlloyPolicy(b_ms=B_MS, b_mm=B_MM)
     t = solve_alloy(stats(a_ms=5, a_mm=1, clean=50), dap.bms_w, dap.bmm_w, dap.k)
     assert t.n_ifrm == 0
     assert t.n_wt > 0  # spare MM bandwidth still drives write-through
 
 
 def test_alloy_controller_flow():
-    dap = DapAlloy(b_ms=B_MS, b_mm=B_MM)
+    dap = DapAlloyPolicy(b_ms=B_MS, b_mm=B_MM)
     dap.note_ms_access(20)
     dap.note_mm_access(1)
     for _ in range(20):
         dap.note_clean_hit()
-    assert dap.allow_forced_miss(now=70)
-    dap.note_fill_bypass()
+    assert dap.force_read_miss(now=70, line=0)
     assert dap.decisions["ifrm"] == 1
-    assert dap.decisions["fill_bypass"] == 1
+    # Never counted by the policy: MscStats.fwb_applied is the real count.
+    assert dap.decisions["fill_bypass"] == 0
 
 
 def test_alloy_write_through_in_quiet_window():
-    dap = DapAlloy(b_ms=B_MS, b_mm=B_MM)
+    dap = DapAlloyPolicy(b_ms=B_MS, b_mm=B_MM)
     dap.note_ms_access(5)  # below bms_w: no IFRM, but WT budget exists
     dap.note_mm_access(1)
-    assert not dap.allow_forced_miss(now=70)
-    assert dap.allow_write_through(now=70)
+    assert not dap.force_read_miss(now=70, line=0)
+    assert dap.write_through(now=70, line=0)
     assert dap.decisions["wt"] == 1
 
 
@@ -268,7 +256,7 @@ def edram_stats(ar=0, aw=0, amm=0, rm=0, wm=0, clean=0):
 
 def make_edap():
     # B_MS$-R = B_MS$-W = 51.2 GB/s = 0.2 acc/cyc; B_MM = 0.15.
-    return DapEdram(b_ms=0.2, b_mm=B_MM)
+    return DapEdramPolicy(b_ms=0.2, b_mm=B_MM)
 
 
 def test_edram_read_shortage_uses_ifrm_only():
@@ -305,7 +293,7 @@ def test_edram_dual_shortage_solves_simultaneously():
 def test_edram_no_shortage_no_partitioning():
     dap = make_edap()
     t = solve_edram(edram_stats(ar=3, aw=3, amm=1), dap.bms_w, dap.bmm_w, dap.k)
-    assert not t.partitioning_active
+    assert t.n_fwb == t.n_wb == t.n_ifrm == 0
 
 
 @given(
@@ -333,5 +321,5 @@ def test_edram_controller_window_cycle():
     dap.note_mm_access(1)
     for _ in range(20):
         dap.note_clean_hit()
-    assert dap.allow_forced_miss(now=70)
-    assert not dap.allow_fill_bypass(now=70)
+    assert dap.force_read_miss(now=70, line=0)
+    assert not dap.bypass_fill(now=70, line=0)

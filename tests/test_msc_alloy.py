@@ -92,7 +92,7 @@ def test_dap_ifrm_uses_dbc_clean_state():
     ctrl.warm_line(11)  # clean
     run_read(ctrl, sim, 11)  # first touch installs the DBC group
     tads_before = ctrl.cache_dev.cas_by_kind().get(AccessKind.TAD_READ, 0)
-    policy.engine._ifrm.load(5 * float(policy.engine._cost))
+    policy._ifrm.load(5)
     run_read(ctrl, sim, 11)  # DBC hit + clean -> IFRM
     assert ctrl.stats.ifrm_applied == 1
     # Served by MM, no additional TAD fetch.
@@ -105,7 +105,7 @@ def test_dap_ifrm_on_absent_line_doubles_as_fill_bypass():
     sim, ctrl = make_controller(policy=policy)
     # Warm the DBC group by reading a line in the same group first.
     run_read(ctrl, sim, 14)
-    policy.engine._ifrm.load(5 * float(policy.engine._cost))
+    policy._ifrm.load(5)
     fwb_before = ctrl.stats.fwb_applied
     run_read(ctrl, sim, 13)  # absent and set clean -> IFRM + fill bypass
     assert ctrl.stats.ifrm_applied == 1
@@ -117,7 +117,7 @@ def test_dap_write_through_cleans_block():
     policy = DapAlloyPolicy(b_ms=0.4, b_mm=0.15, window=10**9)
     sim, ctrl = make_controller(policy=policy)
     ctrl.warm_line(15)
-    policy.engine._wt.load(5)
+    policy._wt.load(5)
     ctrl.write(15, core_id=0)
     sim.run()
     assert ctrl.stats.write_throughs == 1
@@ -152,7 +152,7 @@ def test_served_hit_rate_counts_ifrm_as_miss():
     sim, ctrl = make_controller(policy=policy)
     ctrl.warm_line(11)
     run_read(ctrl, sim, 11)  # warms the DBC group; a served hit
-    policy.engine._ifrm.load(5 * float(policy.engine._cost))
+    policy._ifrm.load(5)
     run_read(ctrl, sim, 11)   # IFRM -> counted as served miss
     assert ctrl.served_hits == 1
     assert ctrl.served_misses == 1

@@ -84,7 +84,7 @@ def test_victim_reads_use_read_channels():
 def test_dap_fwb_drops_fill():
     policy = DapEdramPolicy(b_ms=0.2, b_mm=0.15, window=10**9)
     sim, ctrl = make_controller(policy=policy)
-    policy.engine._fwb.load(3)
+    policy._fwb.load(3)
     run_read(ctrl, sim, 3)
     assert ctrl.stats.fwb_applied == 1
     assert ctrl.array.probe(3) is SectorProbe.SECTOR_MISS
@@ -94,7 +94,7 @@ def test_dap_fwb_drops_fill():
 def test_dap_wb_steers_write_to_mm():
     policy = DapEdramPolicy(b_ms=0.2, b_mm=0.15, window=10**9)
     sim, ctrl = make_controller(policy=policy)
-    policy.engine._wb.load(3 * float(policy.engine._cost))
+    policy._wb.load(3)
     ctrl.write(5, core_id=0)
     sim.run()
     assert ctrl.stats.wb_applied == 1
@@ -106,7 +106,7 @@ def test_dap_ifrm_on_clean_hit():
     policy = DapEdramPolicy(b_ms=0.2, b_mm=0.15, window=10**9)
     sim, ctrl = make_controller(policy=policy)
     ctrl.warm_line(3)
-    policy.engine._ifrm.load(3 * float(policy.engine._cost))
+    policy._ifrm.load(3)
     run_read(ctrl, sim, 3)
     assert ctrl.stats.ifrm_applied == 1
     assert ctrl.mm_dev.cas_by_kind().get(AccessKind.DEMAND_READ) == 1
@@ -118,7 +118,7 @@ def test_dirty_hit_never_forced():
     policy = DapEdramPolicy(b_ms=0.2, b_mm=0.15, window=10**9)
     sim, ctrl = make_controller(policy=policy)
     ctrl.warm_line(3, dirty=True)
-    policy.engine._ifrm.load(3 * float(policy.engine._cost))
+    policy._ifrm.load(3)
     run_read(ctrl, sim, 3)
     assert ctrl.stats.ifrm_applied == 0
     assert ctrl.cache_read_dev.cas_by_kind().get(AccessKind.DEMAND_READ) == 1

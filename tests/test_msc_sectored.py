@@ -111,10 +111,10 @@ def dap_policy_with_targets(**targets):
     """A DAP policy with one giant window and pre-loaded credits, so the
     controller-plumbing tests are independent of window timing (the
     window logic itself is covered in test_dap_solvers)."""
-    from repro.core.dap_sectored import SectoredTargets
+    from repro.core.dap import SectoredTargets
 
     policy = DapSectoredPolicy(b_ms=0.4, b_mm=0.15, window=10**9)
-    policy.engine.load_targets(
+    policy.load_targets(
         SectoredTargets(
             n_fwb=targets.get("fwb", 0),
             n_wb=targets.get("wb", 0),

@@ -197,6 +197,54 @@ def test_telemetry_does_not_change_results(tmp_path):
     assert traced.ipc == plain.ipc
 
 
+#: The dap.* probe set each architecture registers, in order.
+DAP_PROBES = {
+    ("dap", "sectored"): [
+        "dap.credits.fwb", "dap.credits.wb", "dap.credits.ifrm",
+        "dap.credits.sfrm",
+        "dap.window.a_ms", "dap.window.a_mm", "dap.window.read_misses",
+        "dap.window.writes", "dap.window.clean_hits",
+        "dap.granted.fwb", "dap.granted.wb", "dap.granted.ifrm",
+        "dap.granted.sfrm"],
+    ("dap", "alloy"): [
+        "dap.credits.ifrm", "dap.credits.wt",
+        "dap.window.a_ms", "dap.window.a_mm", "dap.window.read_misses",
+        "dap.window.writes", "dap.window.clean_hits",
+        "dap.granted.ifrm", "dap.granted.wt", "dap.granted.fill_bypass"],
+    ("dap", "edram"): [
+        "dap.credits.fwb", "dap.credits.wb", "dap.credits.ifrm",
+        "dap.window.a_ms_read", "dap.window.a_ms_write", "dap.window.a_mm",
+        "dap.window.read_misses", "dap.window.writes",
+        "dap.window.clean_hits",
+        "dap.granted.fwb", "dap.granted.wb", "dap.granted.ifrm"],
+    ("baseline", "sectored"): [],
+    ("sbd", "sectored"): [],
+    ("bear", "alloy"): [],
+    ("baseline", "edram"): [],
+}
+
+
+@pytest.mark.parametrize("policy,msc_kind", list(DAP_PROBES))
+def test_dap_probe_set_per_architecture(policy, msc_kind):
+    from types import SimpleNamespace
+
+    from repro.hierarchy.system import SystemConfig, _build_msc
+    from repro.obs.probes import attach_system_probes
+
+    config = SystemConfig(policy=policy, msc_kind=msc_kind,
+                          msc_capacity_bytes=(4 << 30) // 64)
+    msc = _build_msc(Simulator(), config)
+    tel = attach_system_probes(Telemetry(msc.sim),
+                               SimpleNamespace(msc=msc))
+    names = [n for n in tel.probe_names() if n.startswith("dap.")]
+    assert names == DAP_PROBES[policy, msc_kind]
+    assert msc.policy.observer is tel
+    if names:
+        # Probes read live state, not a copy taken at registration.
+        msc.policy.note_mm_access(3)
+        assert tel._probes["dap.window.a_mm"]() == 3
+
+
 def test_safe_stem_sanitizes_labels():
     assert safe_stem("mcf/dap") == "mcf_dap"
     assert safe_stem("fig06:mix 2") == "fig06_mix_2"

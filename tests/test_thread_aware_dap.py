@@ -1,6 +1,6 @@
 """Tests for the thread-aware IFRM extension (Section IV-A refinement)."""
 
-from repro.core.dap_sectored import SectoredTargets
+from repro.core.dap import SectoredTargets
 from repro.policies.dap import ThreadAwareDapPolicy
 
 
@@ -27,14 +27,14 @@ def test_reclassification_marks_heavy_core_insensitive():
 
 def test_insensitive_core_gets_ifrm_freely():
     policy = classify(make_policy())
-    policy.engine.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
+    policy.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
     assert policy.force_read_miss(now=300, line=5, core_id=0)
 
 
 def test_sensitive_core_deferred_when_credits_scarce():
     policy = classify(make_policy())
     # Scarce budget: 2 credits out of a 255 max -> below the 25% floor.
-    policy.engine.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
+    policy.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
     assert not policy.force_read_miss(now=300, line=5, core_id=1)
     assert policy.deferred_ifrm == 1
     # The credit was NOT consumed: the insensitive core can still use it.
@@ -43,19 +43,19 @@ def test_sensitive_core_deferred_when_credits_scarce():
 
 def test_sensitive_core_allowed_when_credits_plentiful():
     policy = classify(make_policy())
-    policy.engine.load_targets(SectoredTargets(0, 0, n_ifrm=200, n_sfrm=0))
+    policy.load_targets(SectoredTargets(0, 0, n_ifrm=200, n_sfrm=0))
     assert policy.force_read_miss(now=300, line=5, core_id=1)
 
 
 def test_unknown_core_treated_normally():
     policy = classify(make_policy())
-    policy.engine.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
+    policy.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
     assert policy.force_read_miss(now=300, line=5, core_id=-1)
 
 
 def test_no_classification_before_first_epoch():
     policy = make_policy()
-    policy.engine.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
+    policy.load_targets(SectoredTargets(0, 0, n_ifrm=2, n_sfrm=0))
     # Without history every core is treated normally.
     assert policy.force_read_miss(now=1, line=5, core_id=3)
 
