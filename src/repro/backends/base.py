@@ -1,15 +1,16 @@
 """The process's materialized-trace front and its intra-run trace store.
 
-Bounded traces are materialized to lists at build time (see
-:func:`repro.experiments.common.run_mix`): the cores then consume a
-C-speed list iterator instead of resuming a generator per instruction.
-Materialization goes through one :class:`SimBackend`, whose
-:class:`TraceStore` is a content-addressed in-process memo, so the many
-cells that replay the same (workload, seed) pair within one invocation
-— the baseline/dap cell pairs of a sweep, alone-IPC references that
-share core 0's trace — generate each trace once and share the list by
-reference.  The engine installs a fresh backend (an empty store) per
-``execute_cells`` invocation and per pool worker.
+Bounded traces are materialized at build time (see
+:func:`repro.experiments.common.run_mix`) as :class:`PackedTrace`
+columns: the cores then consume a C-speed ``zip`` over the columns
+instead of resuming a generator per instruction. Materialization goes
+through one :class:`SimBackend`, whose :class:`TraceStore` is a
+content-addressed in-process memo, so the many cells that replay the
+same (workload, seed) pair within one invocation — the baseline/dap
+cell pairs of a sweep, alone-IPC references that share core 0's trace —
+generate each trace once and share the columns by reference.  The
+engine installs a fresh backend (an empty store) per ``execute_cells``
+invocation and per pool worker.
 
 ``SimBackend`` keeps this module path and its name although it is no
 longer one of several backends: the benchmark's per-layer ledger
@@ -20,7 +21,10 @@ to ``run_mix`` waits for a benchmark change that updates that entry.
 
 from __future__ import annotations
 
-from typing import Callable
+from array import array
+from operator import itemgetter
+from struct import pack
+from typing import Callable, Iterable
 
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import get_profile
@@ -36,10 +40,11 @@ class TraceStore:
 
     Keys carry everything that determines the generated stream —
     ``(profile name, num_refs, footprint scale, seed, base line)`` — so
-    a hit is exact by construction.  Entries are immutable tuple lists
-    shared by reference; consumers wrap them in ``iter()`` and never
-    mutate.  ``generated`` / ``reused`` feed the engine's per-run
-    :class:`~repro.experiments.cellcache.ExecStats` counters.
+    a hit is exact by construction.  Entries are shared by reference;
+    consumers only ``iter()`` them and never mutate.  An entry's cost is
+    its ``len()``, in references.  ``generated`` / ``reused`` feed the
+    engine's per-run :class:`~repro.experiments.cellcache.ExecStats`
+    counters.
 
     The store is bounded (``max_refs`` total stored references, FIFO
     eviction) so a long-lived process — a service worker, a pytest
@@ -55,10 +60,10 @@ class TraceStore:
         self.generated = 0
         self.reused = 0
         self.max_refs = max_refs
-        self._traces: dict[tuple, tuple[list, int]] = {}
+        self._traces: dict[tuple, tuple[object, int]] = {}
         self._trace_refs = 0
 
-    def trace(self, key: tuple, build: Callable[[], list]) -> list:
+    def trace(self, key: tuple, build: Callable[[], object]) -> object:
         """The materialized trace for ``key``, building it on first use."""
         hit = self._traces.get(key)
         if hit is not None:
@@ -76,9 +81,41 @@ class TraceStore:
         return entry
 
 
+_GAP = itemgetter(0)
+_WRITE = itemgetter(1)
+_LINE = itemgetter(2)
+
+
+class PackedTrace:
+    """A materialized trace as three packed columns: ``array("H")`` gaps,
+    ``bytes`` write flags (0/1) and ``array("q")`` lines — 11 bytes a
+    reference where a list of ``(gap, is_write, line)`` tuples costs
+    about 100.  Iterating yields ``(gap, is_write, line)`` tuples again
+    (``is_write`` as 0/1) from a C-level ``zip``.
+    """
+
+    __slots__ = ("gaps", "writes", "lines")
+
+    def __init__(self, refs: Iterable[tuple[int, bool, int]]) -> None:
+        refs = list(refs)
+        n = len(refs)
+        # struct converts about twice as fast as array() from an
+        # iterable, and raises struct.error on a value outside the
+        # column's type instead of wrapping it.
+        self.gaps = array("H", pack(f"{n}H", *map(_GAP, refs)))
+        self.writes = bytes(map(_WRITE, refs))
+        self.lines = array("q", pack(f"{n}q", *map(_LINE, refs)))
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __iter__(self):
+        return zip(self.gaps, self.writes, self.lines)
+
+
 class SimBackend:
     """Materializes :func:`~repro.workloads.synthetic.generate_trace`
-    streams as ``(gap, is_write, line)`` lists through a :class:`TraceStore`.
+    streams as :class:`PackedTrace` columns through a :class:`TraceStore`.
 
     Keep the class name and ``mix_traces`` until the benchmark ledger
     stops timing ``phase.trace_s`` through them (see the module docstring).
@@ -91,17 +128,17 @@ class SimBackend:
 
     def trace(self, profile: WorkloadProfile, num_refs: int,
               base_line: int = 0, scale: float = 1.0,
-              seed: int = 0) -> list:
+              seed: int = 0) -> PackedTrace:
         """One materialized trace, served from the store when possible."""
         key = (profile.name, num_refs, scale, seed, base_line)
         return self.store.trace(
             key,
-            lambda: list(generate_trace(profile, num_refs,
-                                        base_line=base_line, scale=scale,
-                                        seed=seed)))
+            lambda: PackedTrace(generate_trace(profile, num_refs,
+                                               base_line=base_line,
+                                               scale=scale, seed=seed)))
 
     def mix_traces(self, mix: Mix, refs_per_core: int,
-                   scale: float) -> list[list]:
+                   scale: float) -> list[PackedTrace]:
         """One materialized trace per core, disjoint address spaces."""
         return [
             self.trace(get_profile(member), refs_per_core,

@@ -4,10 +4,19 @@ Each set holds exactly one 64-byte block whose tag travels with the data
 as a 72-byte TAD unit (three HBM channel cycles instead of two). This
 module models the functional array; TAD bandwidth accounting and the
 hit/miss predictor live in :mod:`repro.hierarchy.msc_alloy`.
+
+Encoding: the sets are one ``array("q")`` of ``num_sets`` entries, each
+holding ``line << 1 | dirty`` for the resident block, or -1 for an empty
+set. Lines are non-negative, so ``entry >> 1 == line`` is the tag match
+(an empty set shifts to -1 and never matches) and ``entry & 1`` the
+dirty bit. The array costs a fixed 8 bytes per set whatever the
+occupancy: 8 MiB for the 1 Mi sets of a smoke-scale cache, 512 MiB for
+the 64 Mi sets of the paper's 4 GiB cache.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,6 +24,8 @@ from repro.errors import ConfigError
 
 # 72-byte TAD occupies 3 HBM channel cycles (burst 2 covers 64 bytes).
 TAD_BURST_DEVICE_CYCLES = 3
+
+_EMPTY = -1
 
 
 @dataclass(frozen=True)
@@ -31,8 +42,8 @@ class AlloyCacheArray:
             raise ConfigError(f"{name}: capacity not a multiple of the line size")
         self.name = name
         self.num_sets = capacity_bytes // line_bytes
-        # set index -> (resident line, dirty)
-        self._sets: dict[int, tuple[int, bool]] = {}
+        # set index -> line << 1 | dirty, or _EMPTY
+        self._sets = array("q", [_EMPTY]) * self.num_sets
 
         self.read_hits = 0
         self.read_misses = 0
@@ -45,17 +56,17 @@ class AlloyCacheArray:
 
     # ------------------------------------------------------------------
     def probe(self, line: int) -> bool:
-        entry = self._sets.get(self.set_index(line))
-        return entry is not None and entry[0] == line
+        return self._sets[line % self.num_sets] >> 1 == line
 
     def is_dirty(self, line: int) -> bool:
-        entry = self._sets.get(self.set_index(line))
-        return entry is not None and entry[0] == line and entry[1]
+        return self._sets[line % self.num_sets] == line << 1 | 1
 
     def set_is_dirty(self, set_index: int) -> bool:
         """Dirty bit of whatever block occupies a set (DBC's source)."""
-        entry = self._sets.get(set_index)
-        return entry is not None and entry[1]
+        if not 0 <= set_index < self.num_sets:
+            return False
+        entry = self._sets[set_index]
+        return entry != _EMPTY and entry & 1 == 1
 
     def read(self, line: int) -> bool:
         hit = self.probe(line)
@@ -71,10 +82,10 @@ class AlloyCacheArray:
         Returns True on hit. On miss the caller decides whether to
         allocate (Alloy installs the write with a TAD write).
         """
-        idx = self.set_index(line)
-        entry = self._sets.get(idx)
-        if entry is not None and entry[0] == line:
-            self._sets[idx] = (line, True)
+        sets = self._sets
+        idx = line % self.num_sets
+        if sets[idx] >> 1 == line:
+            sets[idx] = line << 1 | 1
             self.write_hits += 1
             return True
         self.write_misses += 1
@@ -82,30 +93,55 @@ class AlloyCacheArray:
 
     def fill(self, line: int, dirty: bool = False) -> Optional[AlloyEviction]:
         """Install a block, returning the displaced victim (if any)."""
-        idx = self.set_index(line)
-        old = self._sets.get(idx)
-        self._sets[idx] = (line, dirty)
-        if old is not None and old[0] != line:
-            self.evictions += 1
-            return AlloyEviction(line=old[0], dirty=old[1])
-        if old is not None and old[0] == line:
+        sets = self._sets
+        idx = line % self.num_sets
+        old = sets[idx]
+        if old >> 1 == line:
             # Refill of the resident block merges dirtiness.
-            self._sets[idx] = (line, dirty or old[1])
-        return None
+            if dirty:
+                sets[idx] = old | 1
+            return None
+        sets[idx] = line << 1 | 1 if dirty else line << 1
+        if old == _EMPTY:
+            return None
+        self.evictions += 1
+        return AlloyEviction(line=old >> 1, dirty=old & 1 == 1)
+
+    def warm_many(self, lines) -> int:
+        """Batched :meth:`fill` of ``(line, dirty)`` pairs (pre-run
+        warmup): the same final state and eviction count, without the
+        per-victim :class:`AlloyEviction`. Returns the pair count."""
+        sets = self._sets
+        num_sets = self.num_sets
+        count = evictions = 0
+        for line, dirty in lines:
+            count += 1
+            idx = line % num_sets
+            old = sets[idx]
+            if old >> 1 == line:
+                if dirty:
+                    sets[idx] = old | 1
+                continue
+            sets[idx] = line << 1 | 1 if dirty else line << 1
+            if old != _EMPTY:
+                evictions += 1
+        self.evictions += evictions
+        return count
 
     def invalidate(self, line: int) -> bool:
-        idx = self.set_index(line)
-        entry = self._sets.get(idx)
-        if entry is not None and entry[0] == line:
-            del self._sets[idx]
-            return entry[1]
+        sets = self._sets
+        idx = line % self.num_sets
+        entry = sets[idx]
+        if entry >> 1 == line:
+            sets[idx] = _EMPTY
+            return entry & 1 == 1
         return False
 
     def clean(self, line: int) -> None:
-        idx = self.set_index(line)
-        entry = self._sets.get(idx)
-        if entry is not None and entry[0] == line:
-            self._sets[idx] = (line, False)
+        sets = self._sets
+        idx = line % self.num_sets
+        if sets[idx] >> 1 == line:
+            sets[idx] = line << 1
 
     # ------------------------------------------------------------------
     @property

@@ -243,6 +243,39 @@ class SectoredCacheArray:
             sector.dirty |= bit
         return True
 
+    def warm_many(self, lines) -> int:
+        """Install ``(line, dirty)`` pairs without stats (pre-run warmup):
+        allocate each absent sector, then set the block valid (and
+        dirty). Returns the pair count.
+
+        Consecutive same-sector lines reuse one resolution; only an
+        allocation can evict, and it happens at a sector change, before
+        the re-resolve, so the result equals installing one pair at a
+        time in any order.
+        """
+        bps = self.blocks_per_sector
+        find = self.find_sector
+        allocate = self.allocate_sector
+        cached_sid = -1
+        sector = None
+        count = 0
+        for line, dirty in lines:
+            count += 1
+            sid = line // bps
+            if sid != cached_sid:
+                sector = find(line)
+                if sector is None:
+                    allocate(line)
+                    sector = find(line)  # None when the set is disabled
+                cached_sid = sid
+            if sector is None:
+                continue
+            bit = 1 << (line % bps)
+            sector.valid |= bit
+            if dirty:
+                sector.dirty |= bit
+        return count
+
     # ------------------------------------------------------------------
     # Allocation / invalidation
     # ------------------------------------------------------------------

@@ -119,8 +119,10 @@ def scaled_config(scale: Scale, policy: str = "baseline",
     )
 
 
-# Traces at most this many total references are materialized to lists
-# before the run (about 100 MB at the limit); larger ones stream.
+# Traces at most this many total references are materialized before the
+# run as packed columns; larger ones stream. At the limit the columns
+# hold 11 MiB (tracemalloc, rate-8 mix), and packing one core's trace
+# briefly adds its ~100 B/reference tuple list (25 MiB peak at 8 cores).
 _MATERIALIZE_REFS_LIMIT = 1_000_000
 
 
@@ -149,7 +151,7 @@ def run_mix(mix: Mix, config: SystemConfig, scale: Scale,
     if scale.refs_per_core * mix.num_cores <= _MATERIALIZE_REFS_LIMIT:
         # Materialize bounded traces at build time. The reference
         # stream is identical, but the synthesis work leaves the run
-        # loop (the cores consume a C-speed list iterator), and the
+        # loop (the cores consume a C-speed column iterator), and the
         # trace store shares each (workload, seed) trace across the
         # cells of one invocation. Unbounded (paper-scale) traces keep
         # streaming to cap memory.
@@ -216,7 +218,7 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
     if scale.refs_per_core <= _MATERIALIZE_REFS_LIMIT:
         # Materialized through the trace store: seed 0 at base line 0 is
         # exactly core 0's trace in the workload's rate mix, so the
-        # alone reference and the mix cells share one list.
+        # alone reference and the mix cells share one trace.
         trace = iter(active_backend().trace(
             profile, scale.refs_per_core, scale=scale.footprint_scale,
             seed=0))
@@ -226,8 +228,7 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
             scale=scale.footprint_scale, seed=0,
         )
     system = build_system(solo, [trace])
-    for line, dirty in warm_lines(profile, scale=scale.footprint_scale, seed=0):
-        system.msc.warm_line(line, dirty)
+    system.msc.warm_many(warm_lines(profile, scale=scale.footprint_scale, seed=0))
     system.run()
     ipc = system.cores[0].ipc or 1e-9
     ALONE_IPC_CACHE.store(memo_key, ipc, disk_key)

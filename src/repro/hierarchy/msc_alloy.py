@@ -109,6 +109,9 @@ class AlloyMscController(MscController):
         """Install a block without generating DRAM traffic (warmup)."""
         self.array.fill(line, dirty=dirty)
 
+    def warm_many(self, lines) -> int:
+        return self.array.warm_many(lines)
+
     # ------------------------------------------------------------------
     # Demand read
     # ------------------------------------------------------------------

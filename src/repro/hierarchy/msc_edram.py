@@ -49,10 +49,10 @@ class EdramMscController(MscController):
     # ------------------------------------------------------------------
     def warm_line(self, line: int, dirty: bool = False) -> None:
         """Install a block without generating DRAM traffic (warmup)."""
-        if not self.array.sector_present(line):
-            self.array.allocate_sector(line)
-        if self.array.sector_present(line):
-            self.array.fill_block(line, dirty=dirty)
+        self.array.warm_many(((line, dirty),))
+
+    def warm_many(self, lines) -> int:
+        return self.array.warm_many(lines)
 
     # ------------------------------------------------------------------
     # Demand read

@@ -74,46 +74,10 @@ class SectoredMscController(MscController):
     # ------------------------------------------------------------------
     def warm_line(self, line: int, dirty: bool = False) -> None:
         """Install a block without generating DRAM traffic (warmup)."""
-        array = self.array
-        sector = array.find_sector(line)
-        if sector is None:
-            array.allocate_sector(line)
-            sector = array.find_sector(line)
-            if sector is None:  # disabled set: install refused
-                return
-        bit = 1 << (line % array.blocks_per_sector)
-        sector.valid |= bit
-        if dirty:
-            sector.dirty |= bit
+        self.array.warm_many(((line, dirty),))
 
     def warm_many(self, lines) -> int:
-        """Batched :meth:`warm_line`: the warm set enumerates regions in
-        address order and never revisits a sector once past it, so
-        consecutive same-sector lines reuse one resolution (and any
-        eviction happens at a sector boundary, before the re-resolve)."""
-        array = self.array
-        bps = array.blocks_per_sector
-        find = array.find_sector
-        allocate = array.allocate_sector
-        cached_sid = -1
-        sector = None
-        count = 0
-        for line, dirty in lines:
-            count += 1
-            sid = line // bps
-            if sid != cached_sid:
-                sector = find(line)
-                if sector is None:
-                    allocate(line)
-                    sector = find(line)  # None when the set is disabled
-                cached_sid = sid
-            if sector is None:
-                continue
-            bit = 1 << (line % bps)
-            sector.valid |= bit
-            if dirty:
-                sector.dirty |= bit
-        return count
+        return self.array.warm_many(lines)
 
     def _resolve(self, line: int):
         """One-scan (sector, bit, probe, dirty) resolution for ``line``."""

@@ -10,7 +10,7 @@ attribute to one of these classes means adding it to ``__slots__``.
 
 import pytest
 
-from repro.backends.base import SimBackend, TraceStore
+from repro.backends.base import PackedTrace, SimBackend, TraceStore
 from repro.cache.replacement import LRUPolicy, NRUPolicy
 from repro.cache.sectored import SectoredCacheArray, _Sector
 from repro.cache.sram_cache import Eviction, SRAMCache, _Line
@@ -36,6 +36,7 @@ HOT_PATH_CLASSES = [
     # Trace materialization: one store per invocation, one front.
     TraceStore,
     SimBackend,
+    PackedTrace,
 ]
 
 
