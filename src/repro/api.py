@@ -48,7 +48,6 @@ from repro.experiments.exec import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_spec
 from repro.metrics.stats import RunResult
-from repro.obs.profiler import DEFAULT_HZ
 from repro.obs.telemetry import DEFAULT_PROBE_INTERVAL, TelemetryConfig
 
 __all__ = [
@@ -100,11 +99,6 @@ class ExperimentRequest:
     resume: bool = False
     trace: bool = False
     probe_interval: int = DEFAULT_PROBE_INTERVAL
-    #: Sample executed cells' Python stacks (repro.obs.profiler) at the
-    #: default rate. Observation-only: excluded from the fingerprint and
-    #: the cell cache key, so profiled and unprofiled runs share cells
-    #: and produce bit-identical results.
-    profile: bool = False
     #: Service-side knobs; ignored by direct execution.
     timeout_seconds: Optional[float] = None
     max_attempts: int = 2
@@ -280,7 +274,6 @@ def run_experiment(
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
     spec=None,
-    profile_hz: Optional[int] = None,
     **overrides,
 ) -> ExperimentResult:
     """Execute one registered experiment; the canonical entry point.
@@ -293,9 +286,6 @@ def run_experiment(
     runs uncached; use :func:`default_cache` for the shared store).
     ``telemetry`` wins over the request's ``trace`` flag;
     ``should_stop`` / ``on_cell`` are forwarded to the engine.
-    ``profile_hz`` overrides the request's ``profile`` flag (0 disables,
-    ``None`` derives the rate from the flag); profiles land in
-    ``result.stats.stack_profiles``.
     ``spec`` lets a caller that already resolved the
     :class:`ExperimentSpec` (the runner CLI, tests with synthetic
     specs) skip the registry lookup.
@@ -309,8 +299,6 @@ def run_experiment(
     request.validate()
     if telemetry is None:
         telemetry = _telemetry_of(request, trace_dir)
-    if profile_hz is None:
-        profile_hz = DEFAULT_HZ if request.profile else 0
     if spec is None:
         spec = get_spec(request.experiment)
     return run_spec(
@@ -323,7 +311,6 @@ def run_experiment(
         telemetry=telemetry,
         should_stop=should_stop,
         on_cell=on_cell,
-        profile_hz=profile_hz,
     )
 
 
@@ -335,7 +322,6 @@ def run_cells(
     resume: bool = False,
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
-    profile_hz: int = 0,
 ) -> tuple[dict, ExecStats]:
     """Execute a hand-built cell list through the cached engine.
 
@@ -344,8 +330,7 @@ def run_cells(
     :mod:`repro.experiments.exec` directly.
     """
     return execute_cells(cells, jobs=jobs, cache=cache, resume=resume,
-                         should_stop=should_stop, on_cell=on_cell,
-                         profile_hz=profile_hz)
+                         should_stop=should_stop, on_cell=on_cell)
 
 
 def submit(request: ExperimentRequest, store,

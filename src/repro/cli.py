@@ -1,6 +1,6 @@
 """``repro`` — the single command-line entry point.
 
-One command, eight subcommands, each delegating to a subsystem CLI::
+One command, six subcommands, each delegating to a subsystem CLI::
 
     repro experiment fig06 --scale smoke     (experiment runner)
     repro analyze report .repro-traces       (offline trace analysis)
@@ -8,8 +8,6 @@ One command, eight subcommands, each delegating to a subsystem CLI::
     repro serve --port 8321                  (the job service)
     repro top --url http://host:8321         (live service dashboard)
     repro metrics --lint                     (scrape/lint /metrics)
-    repro profile run fig06                  (sampling profiler + flamegraphs)
-    repro dash --out dash.html               (offline performance observatory)
 
 Global flags (before the subcommand) configure structured logging for
 every subsystem: ``repro --log-level debug --log-json serve ...``.
@@ -27,13 +25,11 @@ usage: repro [--log-level LEVEL] [--log-json] <command> [args...]
 
 commands:
   experiment  regenerate the paper's tables and figures
-  analyze     offline trace analysis, run comparison, bench trajectory
+  analyze     offline trace analysis and run comparison
   validate    judge machine-checkable paper-shape claims
   serve       run the async job service (POST /jobs, SSE progress)
   top         live terminal dashboard over a running service
   metrics     fetch, snapshot, or lint a service's /metrics scrape
-  profile     capture, diff, and flamegraph sampling profiles
-  dash        render the offline HTML performance observatory
 
 global options:
   --log-level LEVEL   emit repro.* logs at LEVEL (debug/info/warning/...)
@@ -58,10 +54,6 @@ def _command_main(command: str) -> Callable[[Optional[Sequence[str]]], int]:
         from repro.obs.top import top_main as main
     elif command == "metrics":
         from repro.obs.top import metrics_main as main
-    elif command == "profile":
-        from repro.obs.profcli import profile_main as main
-    elif command == "dash":
-        from repro.obs.dash import dash_main as main
     else:
         raise KeyError(command)
     return main

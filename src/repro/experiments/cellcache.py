@@ -3,12 +3,12 @@
 Every simulation cell — one ``(mix, SystemConfig, Scale, seed)`` run, an
 alone-IPC reference, or a kernel measurement — is identified by the
 SHA-256 of a *canonical* rendering of everything that determines its
-result, plus :data:`CODE_VERSION` (a salt bumped whenever simulation
-semantics change, so stale entries can never be mistaken for current
-ones).  Entries are small JSON files, written atomically, so any number
-of worker processes can share one cache directory: a cell computed by
-one worker is immediately visible to every other worker and to every
-future invocation.
+result, plus :data:`CODE_VERSION` (a hash of the simulation sources, so
+entries computed by other simulator code can never be mistaken for
+current ones).  Entries are small JSON files, written atomically, so
+any number of worker processes can share one cache directory: a cell
+computed by one worker is immediately visible to every other worker and
+to every future invocation.
 
 Layout::
 
@@ -37,9 +37,34 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-#: Bump whenever a change alters simulation results (timing model, policy
-#: behaviour, trace generation, ...) — old cache entries become unreachable.
-CODE_VERSION = "1"
+#: Every source that can change a simulated result, relative to the
+#: ``repro`` package: the model trees, the cell runner and the result type.
+_SIMULATION_SOURCES = (
+    "engine", "core", "cache", "hierarchy", "mem", "policies", "workloads",
+    "backends", "flat", "experiments/common.py", "metrics/stats.py",
+)
+
+
+def code_version(root: Union[str, Path] = Path(__file__).parents[1]) -> str:
+    """SHA-256 over the sorted relative paths and bytes of the
+    :data:`_SIMULATION_SOURCES` under the package directory ``root``."""
+    root = Path(root)
+    files = []
+    for entry in _SIMULATION_SOURCES:
+        path = root / entry
+        files.extend(path.rglob("*.py") if path.is_dir() else [path])
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix() for path in files):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+#: Salt of every cell key, derived once at import: any edit to a
+#: simulation source makes every older cache entry unreachable. CI keys
+#: its cell-cache restore on this value too.
+CODE_VERSION = code_version()
 
 #: Result dataclasses that may be stored in / restored from the cache,
 #: resolved lazily so this module stays import-light.
@@ -179,10 +204,6 @@ class ExecStats:
     replayed_failures: int = 0  # cached failures reported without retrying
     failures: list[CellFailure] = field(default_factory=list)
     profile: list[CellProfile] = field(default_factory=list)
-    #: Collapsed-stack sampling profiles by cell label, present only for
-    #: cells executed this invocation with profiling enabled
-    #: (``--profile`` / ``profile_hz``); see :mod:`repro.obs.profiler`.
-    stack_profiles: dict[str, str] = field(default_factory=dict)
     elapsed: float = 0.0
     #: Trace-store accounting (see :class:`repro.backends.base.TraceStore`):
     #: materialized traces built this invocation vs. served from the
@@ -201,7 +222,6 @@ class ExecStats:
         self.replayed_failures += other.replayed_failures
         self.failures.extend(other.failures)
         self.profile.extend(other.profile)
-        self.stack_profiles.update(other.stack_profiles)
         self.elapsed += other.elapsed
         self.traces_generated += other.traces_generated
         self.traces_reused += other.traces_reused
@@ -282,38 +302,6 @@ class CellCache:
                 return json.load(handle)
         except (FileNotFoundError, json.JSONDecodeError, OSError):
             return None
-
-    def profile_path(self, key: str) -> Path:
-        """Sidecar sampling-profile location for a cached cell."""
-        return self.root / key[:2] / f"{key}.profile.collapsed"
-
-    def get_profile(self, key: str) -> Optional[str]:
-        """Collapsed-stack profile stored alongside a cached cell, if any."""
-        try:
-            return self.profile_path(key).read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def put_profile(self, key: str, collapsed: str) -> None:
-        """Atomically store a cell's collapsed-stack profile sidecar.
-
-        Profiles ride *next to* the cache entry, never inside it: the
-        entry (and its key) stay byte-identical whether or not the run
-        was profiled, preserving profiled/unprofiled cache sharing.
-        """
-        path = self.profile_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(collapsed)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def _write(self, key: str, payload: dict) -> None:
         self._write_path(self._path(key), payload)

@@ -42,7 +42,6 @@ from repro.experiments.cellcache import (
     cell_key,
 )
 from repro.obs.metrics import REGISTRY
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.spans import (
     current_traceparent,
     emit_span,
@@ -84,8 +83,8 @@ class CellExecutionError(ReproError):
     """One or more cells of a sweep failed; the rest are cached.
 
     Carries the sweep's :class:`ExecStats` so callers (the runner's
-    batch summary, ``--bench`` records) can still account for the
-    cells that *did* execute before the failure was reported.
+    batch summary) can still account for the cells that *did* execute
+    before the failure was reported.
     """
 
     def __init__(self, message: str, failures: Sequence[CellFailure] = (),
@@ -256,26 +255,17 @@ class CellResults:
 # Execution
 # ----------------------------------------------------------------------
 
-def _execute_one(cell: Cell, key: str, cache: Optional[CellCache],
-                 profile_hz: int = 0):
+def _execute_one(cell: Cell, key: str, cache: Optional[CellCache]):
     """Run one cell, writing the result (or failure) through the cache.
 
-    Returns ``(label, "ok", result, wall_seconds, profile_text, traces)``
-    or ``(label, "error", message, wall_seconds, profile_text, traces)``;
-    never raises, so pool futures only fail on worker death.
-    ``wall_seconds`` is 0.0 when the cell was served by a racing worker's
-    cache entry.  ``traces`` is the ``(generated, reused)`` delta this
-    cell caused in the process's trace store.
-
-    ``profile_hz > 0`` wraps the cell's execution in a
-    :class:`~repro.obs.profiler.SamplingProfiler` (one per cell, so the
-    serial and pool paths profile identically) and returns the
-    collapsed-stack text, also stored as a cache sidecar.  Sampling is
-    observation-only: the cell runs the exact code it runs unprofiled,
-    and the cache entry (and key) are byte-identical either way.
+    Returns ``(label, "ok", result, wall_seconds, traces)`` or
+    ``(label, "error", message, wall_seconds, traces)``; never raises,
+    so pool futures only fail on worker death.  ``wall_seconds`` is 0.0
+    when the cell was served by a racing worker's cache entry.
+    ``traces`` is the ``(generated, reused)`` delta this cell caused in
+    the process's trace store.
     """
     start = time.perf_counter()
-    profiler = None
     store = active_backend().store
     gen0, reuse0 = store.generated, store.reused
 
@@ -288,25 +278,13 @@ def _execute_one(cell: Cell, key: str, cache: Optional[CellCache],
             # twin) since the parent scheduled it.
             hit = cache.get_result(key)
             if hit is not None:
-                return cell.label, "ok", hit, 0.0, None, traces()
-        if profile_hz > 0:
-            profiler = SamplingProfiler(hz=profile_hz)
-            profiler.track(cell=cell.label)
-            profiler.start()
+                return cell.label, "ok", hit, 0.0, traces()
         result = cell.execute()
-        collapsed = _finish_profile(profiler)
-        profiler = None
         if cache is not None:
             cache.put_result(key, result, label=cell.label)
-            if collapsed:
-                try:
-                    cache.put_profile(key, collapsed)
-                except OSError:
-                    pass  # a lost sidecar never fails the cell
         return (cell.label, "ok", result, time.perf_counter() - start,
-                collapsed, traces())
+                traces())
     except Exception as exc:  # noqa: BLE001 — cell isolation is the point
-        collapsed = _finish_profile(profiler)
         message = f"{type(exc).__name__}: {exc}"
         if cache is not None:
             try:
@@ -315,15 +293,7 @@ def _execute_one(cell: Cell, key: str, cache: Optional[CellCache],
             except OSError:
                 pass
         return (cell.label, "error", message,
-                time.perf_counter() - start, collapsed, traces())
-
-
-def _finish_profile(profiler: Optional[SamplingProfiler]) -> Optional[str]:
-    """Stop a per-cell profiler and serialize it, if one was running."""
-    if profiler is None:
-        return None
-    profile = profiler.stop()
-    return profile.collapsed() if profile.total_samples else None
+                time.perf_counter() - start, traces())
 
 
 def _profile_of(label: str, payload, wall: float) -> CellProfile:
@@ -346,14 +316,14 @@ def _worker_init(cache_dir: Optional[str]) -> None:
 
 
 def _worker_run(cell: Cell, key: str, cache_dir: Optional[str],
-                traceparent: Optional[str] = None, profile_hz: int = 0):
+                traceparent: Optional[str] = None):
     # Contextvars do not cross process boundaries; re-establish the
     # submitting request's trace context so run manifests produced in
     # pool workers stay correlated to it.
     if traceparent is not None:
         set_current_traceparent(traceparent)
     cache = CellCache(cache_dir) if cache_dir else None
-    return _execute_one(cell, key, cache, profile_hz=profile_hz)
+    return _execute_one(cell, key, cache)
 
 
 def _as_cache(cache) -> Optional[CellCache]:
@@ -370,7 +340,6 @@ def execute_cells(
     resume: bool = False,
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
-    profile_hz: int = 0,
 ) -> tuple[dict, ExecStats]:
     """Run cells, returning ``(results by label, ExecStats)``.
 
@@ -396,14 +365,6 @@ def execute_cells(
     ``"replayed-failure"`` or ``"error"``; services feed job progress
     streams from it.  Hook exceptions are not caught: hooks are
     engine-adapter code, not user cells.
-
-    ``profile_hz > 0`` samples each *executed* cell's Python stack at
-    that rate (:mod:`repro.obs.profiler`); the collapsed-stack text
-    lands in ``stats.stack_profiles[label]`` and as a
-    ``<key>.profile.collapsed`` sidecar in the cell cache.  Profiling
-    is observation-only — results, cache entries and cache keys are
-    bit-identical to an unprofiled run — and cached cells (nothing
-    executed) contribute no profile.
     """
     cache = _as_cache(cache)
     reset_backend()
@@ -470,34 +431,32 @@ def execute_cells(
             ) as pool:
                 futures = {
                     pool.submit(_worker_run, cell, keys[cell.label],
-                                cache_dir, traceparent, profile_hz):
+                                cache_dir, traceparent):
                     cell
                     for cell in unique
                 }
                 for future in as_completed(futures):
                     cell = futures[future]
                     try:
-                        label, status, payload, wall, collapsed, traces = (
+                        label, status, payload, wall, traces = (
                             future.result())
                     except CancelledError:
                         continue  # never started; the sweep is stopping
                     except BrokenProcessPool:
-                        label, status, payload, wall, collapsed, traces = (
+                        label, status, payload, wall, traces = (
                             cell.label, "error",
                             "worker process crashed (killed or out of memory)",
-                            0.0, None, (0, 0),
+                            0.0, (0, 0),
                         )
                     except Exception as exc:  # pool plumbing failure
-                        label, status, payload, wall, collapsed, traces = (
+                        label, status, payload, wall, traces = (
                             cell.label, "error",
-                            f"{type(exc).__name__}: {exc}", 0.0, None, (0, 0),
+                            f"{type(exc).__name__}: {exc}", 0.0, (0, 0),
                         )
                     outcomes[keys[label]] = (status, payload)
                     _observe_cell(label, status, wall)
                     stats.traces_generated += traces[0]
                     stats.traces_reused += traces[1]
-                    if collapsed:
-                        stats.stack_profiles[label] = collapsed
                     if status == "ok":
                         stats.executed += 1
                         if wall > 0:
@@ -517,14 +476,12 @@ def execute_cells(
                     stop_reason = should_stop() or None
                     if stop_reason:
                         break
-                label, status, payload, wall, collapsed, traces = _execute_one(
-                    cell, keys[cell.label], cache, profile_hz=profile_hz)
+                label, status, payload, wall, traces = _execute_one(
+                    cell, keys[cell.label], cache)
                 outcomes[keys[label]] = (status, payload)
                 _observe_cell(label, status, wall)
                 stats.traces_generated += traces[0]
                 stats.traces_reused += traces[1]
-                if collapsed:
-                    stats.stack_profiles[label] = collapsed
                 if status == "ok":
                     stats.executed += 1
                     if wall > 0:
@@ -573,7 +530,6 @@ def run_spec(
     telemetry: Optional[TelemetryConfig] = None,
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
-    profile_hz: int = 0,
 ) -> ExperimentResult:
     """Execute a spec's cells and render its table.
 
@@ -597,7 +553,7 @@ def run_spec(
                  if isinstance(cell, MixCell) else cell for cell in cells]
     results, stats = execute_cells(cells, jobs=jobs, cache=cache,
                                    resume=resume, should_stop=should_stop,
-                                   on_cell=on_cell, profile_hz=profile_hz)
+                                   on_cell=on_cell)
     if stats.failures:
         failed = ", ".join(
             f"{f.label} (policy={f.policy})" if f.policy else f.label

@@ -40,7 +40,6 @@ from repro.experiments.cellcache import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_spec, iter_specs
 from repro.metrics.charts import chart_result
-from repro.obs.bench import build_bench_record, write_bench
 from repro.obs.telemetry import DEFAULT_PROBE_INTERVAL, TelemetryConfig
 from repro.validate.evaluate import (
     build_validation,
@@ -106,19 +105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="where --trace writes "
                              "<experiment>/<cell>.trace.jsonl "
                              f"(default: {DEFAULT_TRACE_DIR})")
-    parser.add_argument("--profile", action="store_true",
-                        help="sample executed cells' Python stacks "
-                             "(repro.obs.profiler; observation-only, "
-                             "results stay bit-identical) and write a "
-                             "merged collapsed-stack profile")
-    parser.add_argument("--profile-out", metavar="FILE",
-                        default="profile.collapsed",
-                        help="where --profile writes the merged profile "
-                             "(default: profile.collapsed)")
-    parser.add_argument("--bench", metavar="FILE", default=None,
-                        help="write a BENCH performance-trajectory record "
-                             "(per-experiment wall time and events/sec; "
-                             "compare with 'repro analyze bench')")
     parser.add_argument("--validate", action="store_true",
                         help="judge each experiment's registered paper-shape "
                              "claims and write a validation document "
@@ -153,7 +139,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "(not workload-aware; see --list)", file=sys.stderr)
 
     totals = ExecStats()
-    per_experiment: dict[str, ExecStats] = {}
     failed: list[str] = []
     validation_entries: dict[str, dict] = {}
     for name in names:
@@ -171,8 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             request = api.ExperimentRequest(
                 experiment=name, scale=args.scale,
                 workloads=tuple(spec_workloads) if spec_workloads else None,
-                jobs=max(1, args.jobs), resume=args.resume,
-                profile=args.profile)
+                jobs=max(1, args.jobs), resume=args.resume)
             result = api.run_experiment(request, cache=cache,
                                         telemetry=spec_telemetry,
                                         spec=get_spec(name))
@@ -184,7 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # for every executed cell, failed experiments included.
             stats = getattr(exc, "stats", None)
             if stats is not None:
-                per_experiment[name] = stats
                 totals.merge(stats)
             if args.validate and name in EXPERIMENTS:
                 validation_entries[name] = failed_entry(
@@ -220,7 +203,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"[csv written to {path}]")
         stats = result.stats
         if stats is not None:
-            per_experiment[name] = stats
             totals.merge(stats)
             print(f"[{name} took {time.time() - start:.1f}s — "
                   f"{stats.summary()}]")
@@ -236,29 +218,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[run summary: {totals.summary()}]")
         if totals.profile:
             print(totals.profile_summary())
-    if args.profile:
-        from repro.obs.profiler import Profile, top_symbols
-
-        merged = Profile()
-        for text in totals.stack_profiles.values():
-            merged.merge(Profile.parse(text))
-        if merged.total_samples:
-            with open(args.profile_out, "w", encoding="utf-8") as handle:
-                handle.write(merged.collapsed())
-            hottest = ", ".join(
-                sym for sym, _, _ in top_symbols(merged, 3))
-            print(f"[profile written to {args.profile_out}: "
-                  f"{merged.total_samples} samples, "
-                  f"{len(merged.cells())} cells; hottest: {hottest}]")
-        else:
-            print("[profile: no samples — every cell came from the cache; "
-                  "use --no-cache to profile a full run]")
-    if args.bench and per_experiment:
-        scale = args.scale or os.environ.get("REPRO_SCALE", "smoke")
-        record = build_bench_record(
-            run_id=f"{'+'.join(sorted(per_experiment))}@{scale}",
-            per_experiment=per_experiment, scale=scale)
-        print(f"[bench record written to {write_bench(args.bench, record)}]")
     validation_failed = False
     if args.validate and validation_entries:
         scale = args.scale or os.environ.get("REPRO_SCALE", "smoke")

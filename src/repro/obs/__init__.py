@@ -13,11 +13,10 @@ describing exactly what was simulated and how fast.
 **Offline** (this PR): :func:`analyze_trace` streams a finished trace
 into per-window measured-vs-optimal access partitioning (the paper's
 Eq. 2/3), technique grant/deny accounting, and channel timelines;
-:mod:`repro.obs.compare` diffs two runs with regression thresholds; and
-:mod:`repro.obs.bench` tracks simulator throughput across commits
-(``BENCH_*.json``). All of it is exposed by the ``repro analyze`` CLI
-(:mod:`repro.obs.cli`) and is strictly read-only: analysis never touches
-simulation state or results.
+:mod:`repro.obs.compare` diffs two runs with regression thresholds.
+Both are exposed by the ``repro analyze`` CLI (:mod:`repro.obs.cli`)
+and are strictly read-only: analysis never touches simulation state or
+results.
 
 Telemetry is strictly opt-in: when no :class:`TelemetryConfig` is
 supplied, no probes are registered and the only per-decision cost in the
@@ -34,19 +33,11 @@ CLI.  All of it observes the service *around* the simulator — nothing
 instruments the per-event hot path, and determinism goldens are
 unaffected.
 
-**Continuous profiling** (PR 8): :mod:`repro.obs.profiler` is a
-dependency-free sampling profiler (a background thread walking
-``sys._current_frames()`` of tracked cell threads into the collapsed-
-stack format, with per-cell attribution); :mod:`repro.obs.flame`
-renders collapsed profiles to self-contained SVG/HTML flamegraphs;
-:mod:`repro.obs.profdiff` ranks symbol-level self-time drift between
-two captures; :mod:`repro.obs.tsdb` is the append-only JSONL
-time-series store behind the dash; and :mod:`repro.obs.dash` assembles
-BENCH trajectory, flamegraph, profile deltas, metric sparklines, and
-validation verdicts into one offline HTML observatory (``repro dash``).
-Profiling is observation-only and off by default: it never enters cell
-cache keys or request fingerprints, and a profiled run's results are
-bit-identical to an unprofiled one.
+:mod:`repro.obs.tsdb` is the append-only JSONL time-series store the
+service's metrics sampler writes.
+
+The simulator's own speed is measured by the repository benchmark,
+``perfbench/`` (see ``perfbench/README.md``), not by this package.
 """
 
 from repro.obs.analysis import (
@@ -55,13 +46,6 @@ from repro.obs.analysis import (
     render_csv,
     render_markdown,
     sparkline,
-)
-from repro.obs.bench import (
-    build_bench_record,
-    compare_bench,
-    latest_bench,
-    load_bench,
-    write_bench,
 )
 from repro.obs.compare import (
     MetricSpec,
@@ -79,16 +63,7 @@ from repro.obs.metrics import (
     lint_exposition,
     parse_exposition,
 )
-from repro.obs.flame import render_html, render_svg
 from repro.obs.probes import attach_system_probes
-from repro.obs.profdiff import ProfileDiff, diff_profiles, render_diff
-from repro.obs.profiler import (
-    DEFAULT_HZ,
-    Profile,
-    SamplingProfiler,
-    merge_collapsed,
-    top_symbols,
-)
 from repro.obs.spans import (
     Span,
     current_traceparent,
@@ -99,7 +74,7 @@ from repro.obs.spans import (
     use_traceparent,
 )
 from repro.obs.telemetry import Series, Telemetry, TelemetryConfig
-from repro.obs.tsdb import TimeSeriesStore, bench_row, metrics_row, samples_row
+from repro.obs.tsdb import TimeSeriesStore, metrics_row, samples_row
 from repro.obs.trace import (
     TraceWriter,
     iter_trace,
@@ -109,13 +84,9 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_HZ",
     "MetricSpec",
     "MetricsRegistry",
-    "Profile",
-    "ProfileDiff",
     "REGISTRY",
-    "SamplingProfiler",
     "Series",
     "Span",
     "Telemetry",
@@ -125,42 +96,30 @@ __all__ = [
     "TraceWriter",
     "analyze_trace",
     "attach_system_probes",
-    "bench_row",
-    "build_bench_record",
     "build_manifest",
-    "compare_bench",
     "compare_dirs",
     "compare_runs",
     "configure_logging",
     "current_traceparent",
     "diff_manifests",
-    "diff_profiles",
     "emit_span",
     "get_logger",
     "git_sha",
     "iter_trace",
-    "latest_bench",
     "lint_exposition",
-    "load_bench",
     "make_traceparent",
-    "merge_collapsed",
     "metrics_row",
     "parse_exposition",
     "parse_traceparent",
     "read_trace",
     "render_comparison",
     "render_csv",
-    "render_diff",
     "render_dir_comparison",
-    "render_html",
     "render_markdown",
-    "render_svg",
     "samples_row",
     "sparkline",
-    "top_symbols",
     "trace_paths",
     "use_span_sink",
     "use_traceparent",
-    "write_bench",
     "write_manifest",
 ]

@@ -6,14 +6,11 @@ Usage::
     repro analyze report mcf_dap.trace.jsonl --format csv --out win.csv
     repro analyze compare traces/before traces/after    # exit 1 on regression
     repro analyze compare a.trace.jsonl b.trace.jsonl --threshold cycles=0.02
-    repro analyze bench .ci-bench.json --repo .         # vs latest BENCH_*.json
 
 ``report`` renders per-window measured-vs-optimal access partitioning
 (Eq. 2/3), DAP technique accounting, and channel timelines; ``compare``
 diffs two runs or trace directories and exits non-zero when a metric
-regresses past its threshold; ``bench`` validates a performance
-trajectory record and compares it against the most recent committed
-``BENCH_*.json``.
+regresses past its threshold.
 """
 
 from __future__ import annotations
@@ -25,12 +22,6 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigError, ReproError
 from repro.obs.analysis import analyze_trace, render_csv, render_markdown
-from repro.obs.bench import (
-    DEFAULT_BENCH_THRESHOLD,
-    compare_bench,
-    latest_bench,
-    load_bench,
-)
 from repro.obs.compare import (
     MetricSpec,
     compare_dirs,
@@ -166,65 +157,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    current = load_bench(args.record)
-    print(f"[bench record ok: {current['run_id']} @ "
-          f"{current['events_per_sec']:,.0f} events/s over "
-          f"{current['total_wall_seconds']:.1f}s]")
-    previous_path: Optional[Path] = None
-    if args.against:
-        previous_path = Path(args.against)
-    elif args.repo:
-        previous_path = latest_bench(args.repo)
-        if previous_path is None:
-            print(f"[no BENCH_*.json under {args.repo}; nothing to compare]")
-            return 0
-    if previous_path is None:
-        return 0
-    previous = load_bench(previous_path)
-    regressions, notes = compare_bench(current, previous,
-                                       threshold=args.threshold)
-    print(f"[comparing against {previous_path} "
-          f"({previous.get('git_sha') or 'no sha'})]")
-    for note in notes:
-        print(f"  {note}")
-    for line in regressions:
-        print(f"  REGRESSED: {line}")
-    if regressions:
-        _explain_bench_regression(getattr(args, "profile", None),
-                                  getattr(args, "profile_baseline", None))
-    if regressions and not args.no_fail:
-        return 1
-    return 0
-
-
-def _explain_bench_regression(profile_path: Optional[str],
-                              baseline_path: Optional[str]) -> None:
-    """On a bench regression, point at *where* the time went: rank the
-    top frame-level self-time deltas between the run's profile and the
-    committed baseline profile (both optional — silent if absent)."""
-    if not profile_path or not baseline_path:
-        return
-    from repro.obs.profdiff import diff_profiles, render_diff
-    from repro.obs.profiler import Profile
-
-    try:
-        before = Profile.parse(
-            Path(baseline_path).read_text(encoding="utf-8"))
-        after = Profile.parse(Path(profile_path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"  (profile diff unavailable: {exc})")
-        return
-    if not before.total_samples or not after.total_samples:
-        print("  (profile diff unavailable: empty profile)")
-        return
-    print()
-    print("  where the time went (top frame-level deltas vs baseline):")
-    diff = diff_profiles(before, after)
-    for line in render_diff(diff, top=10).splitlines():
-        print(f"  {line}")
-
-
 # ----------------------------------------------------------------------
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -258,28 +190,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     compare.add_argument("--no-fail", action="store_true",
                          help="report regressions but always exit 0")
     compare.set_defaults(fn=cmd_compare)
-
-    bench = sub.add_parser(
-        "bench", help="validate a BENCH record; compare vs the latest")
-    bench.add_argument("record", help="bench JSON written by --bench")
-    bench.add_argument("--against", metavar="FILE", default=None,
-                       help="previous bench record to compare against")
-    bench.add_argument("--repo", metavar="DIR", default=None,
-                       help="repo root to search for the latest BENCH_*.json")
-    bench.add_argument("--threshold", type=float,
-                       default=DEFAULT_BENCH_THRESHOLD, metavar="REL",
-                       help="relative events/sec drop treated as regression "
-                            f"(default {DEFAULT_BENCH_THRESHOLD})")
-    bench.add_argument("--no-fail", action="store_true",
-                       help="report regressions but always exit 0")
-    bench.add_argument("--profile", metavar="FILE", default=None,
-                       help="collapsed profile captured with this bench "
-                            "run; on regression the top frame deltas vs "
-                            "--profile-baseline are printed")
-    bench.add_argument("--profile-baseline", metavar="FILE", default=None,
-                       help="committed baseline collapsed profile "
-                            "(e.g. profiles/BENCH_4.collapsed)")
-    bench.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
     try:

@@ -230,7 +230,7 @@ def metrics_main(argv: Optional[Sequence[str]] = None) -> int:
                              "exit on problems")
     parser.add_argument("--record", default=None, metavar="FILE",
                         help="append the scrape to a JSONL time-series "
-                             "store (feeds 'repro dash' sparklines)")
+                             "store")
     args = parser.parse_args(argv)
     try:
         text = _fetch(args.url.rstrip("/") + "/metrics")

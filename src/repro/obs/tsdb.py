@@ -1,8 +1,7 @@
 """Append-only, retention-bounded JSONL store for observability rows.
 
-The service's ``/metrics`` endpoint and the BENCH trajectory answer
-"what is the state *now*" and "how fast at each milestone"; the tsdb
-keeps the history in between without running a real database.  Rows are
+The service's ``/metrics`` endpoint answers "what is the state *now*";
+the tsdb keeps the history without running a real database.  Rows are
 one JSON object per line::
 
     {"ts": 1754650000.0, "kind": "metrics", "data": {...}}
@@ -13,10 +12,10 @@ older than ``max_age_seconds``.  Readers tolerate a torn final line
 (same contract as the telemetry trace reader), so a crash mid-append
 never poisons the store.
 
-Two row builders cover the standard producers:
-:func:`metrics_row` flattens a metrics-registry snapshot to scalars and
-:func:`bench_row` digests a ``BENCH_*.json`` record — both feed the
-``repro dash`` sparklines.
+Two row builders cover the standard producers: :func:`metrics_row`
+flattens a metrics-registry snapshot to scalars (the service worker's
+sampler) and :func:`samples_row` flattens a parsed ``/metrics`` scrape
+(``repro metrics --record``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-__all__ = ["TimeSeriesStore", "metrics_row", "bench_row", "samples_row"]
+__all__ = ["TimeSeriesStore", "metrics_row", "samples_row"]
 
 DEFAULT_MAX_ROWS = 20000
 
@@ -174,19 +173,3 @@ def samples_row(samples: Iterable) -> dict:
         flat[name] = flat.get(name, 0.0) + sample.value
     return flat
 
-
-def bench_row(record: dict, n: Optional[int] = None) -> dict:
-    """Digest one BENCH record for the trajectory series.
-
-    ``n`` is the milestone number from the ``BENCH_<n>.json`` filename
-    (the record itself does not carry it).
-    """
-    return {
-        "n": n,
-        "run_id": record.get("run_id"),
-        "events_per_sec": record.get("events_per_sec"),
-        "total_events": record.get("total_events"),
-        "total_wall_seconds": record.get("total_wall_seconds"),
-        "git_sha": record.get("git_sha"),
-        "scale": record.get("scale"),
-    }

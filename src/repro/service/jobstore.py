@@ -54,11 +54,13 @@ EVENTS_PRUNED = REGISTRY.counter(
 
 
 def _stored_request(text: str) -> ExperimentRequest:
-    """A job row's request. Rows written by older releases carry a
-    ``backend`` field the request no longer has; it is dropped here so
-    existing databases stay readable (``POST /jobs`` still rejects it)."""
+    """A job row's request. Rows written by older releases carry
+    ``backend`` and ``profile`` fields the request no longer has; they
+    are dropped here so existing databases stay readable (``POST /jobs``
+    still rejects them)."""
     data = json.loads(text)
-    data.pop("backend", None)
+    for retired in ("backend", "profile"):
+        data.pop(retired, None)
     return ExperimentRequest.from_dict(data)
 
 

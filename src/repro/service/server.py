@@ -217,7 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "after the job finishes (default: keep all)")
     parser.add_argument("--tsdb", default=None, metavar="FILE",
                         help="append periodic metrics snapshots to this "
-                             "JSONL time-series store (feeds 'repro dash')")
+                             "JSONL time-series store")
     parser.add_argument("--no-uvicorn", action="store_true",
                         help="force the bundled stdlib server even when "
                              "uvicorn is installed")

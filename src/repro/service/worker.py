@@ -26,11 +26,7 @@ Guard rails, all first-class:
 - **janitor** — one housekeeping thread per pool periodically recovers
   jobs whose worker heartbeat went silent (live orphan recovery, no
   restart needed), prunes terminal jobs' event logs past the TTL, and
-  appends a metrics snapshot to the time-series store for `repro dash`.
-
-Jobs submitted with ``profile=true`` run with the sampling profiler on
-(observation-only: the result rows stay bit-identical) and carry the
-merged collapsed-stack profile in their result payload.
+  appends a metrics snapshot to the time-series store.
 """
 
 from __future__ import annotations
@@ -326,22 +322,7 @@ class WorkerPool:
             # Every cell came from the content-addressed cache: this
             # submission was a pure dedupe hit (CI asserts on this).
             JOBS_DEDUPED.inc()
-        payload = result_to_dict(result)
-        if (job.request.profile and stats is not None
-                and stats.stack_profiles):
-            # Only profiled jobs get the key at all, so an unprofiled
-            # service result still compares bit-identical to a direct run.
-            from repro.obs.profiler import DEFAULT_HZ, Profile
-
-            merged = Profile()
-            for text in stats.stack_profiles.values():
-                merged.merge(Profile.parse(text))
-            payload["profile"] = {
-                "hz": DEFAULT_HZ,
-                "samples": merged.total_samples,
-                "collapsed": merged.collapsed(),
-            }
-        self.store.complete(job.id, payload)
+        self.store.complete(job.id, result_to_dict(result))
         log.info("job %s succeeded (%d executed, %d cached)", job.id,
                  stats.executed if stats else 0,
                  stats.cache_hits if stats else 0,

@@ -1,15 +1,12 @@
-"""``repro analyze`` CLI smoke tests: report/compare/bench subcommands,
+"""``repro analyze`` CLI smoke tests: report/compare subcommands,
 exit codes, and the crash-safety path of the trace writer."""
 
-import json
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments.cellcache import CellProfile, ExecStats
 from repro.experiments.common import SMOKE, run_mix, scaled_config
 from repro.hierarchy.system import System
-from repro.obs.bench import build_bench_record, write_bench
 from repro.obs.cli import main
 from repro.obs.telemetry import TelemetryConfig
 from repro.obs.trace import TraceWriter, iter_trace, write_manifest
@@ -30,14 +27,6 @@ def write_run(root, stem, gbps_pairs, policy="dap"):
         "wall_seconds": 0.5, "config": {"policy": policy},
         "git_sha": None, "telemetry": None,
     })
-
-
-def bench_record(rate):
-    stats = ExecStats(total=1, executed=1)
-    stats.profile = [CellProfile(label="c", wall=1_000_000 / rate,
-                                 events=1_000_000)]
-    return build_bench_record("cli-test", {"fig06": stats}, scale="smoke",
-                              created_unix=1_700_000_000.0)
 
 
 # ----------------------------------------------------------------------
@@ -104,45 +93,6 @@ def test_compare_single_files(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "a.trace.jsonl"),
                  str(tmp_path / "b.trace.jsonl")]) == 0
     assert "verdict: ok" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-
-def test_bench_validate_only(tmp_path, capsys):
-    path = tmp_path / "bench.json"
-    write_bench(path, bench_record(100_000.0))
-    assert main(["bench", str(path)]) == 0
-    assert "bench record ok" in capsys.readouterr().out
-
-
-def test_bench_compare_regression_exit_codes(tmp_path, capsys):
-    prev, cur = tmp_path / "BENCH_1.json", tmp_path / "current.json"
-    write_bench(prev, bench_record(100_000.0))
-    write_bench(cur, bench_record(10_000.0))  # -90%
-    assert main(["bench", str(cur), "--against", str(prev)]) == 1
-    assert "REGRESSED" in capsys.readouterr().out
-    assert main(["bench", str(cur), "--against", str(prev),
-                 "--no-fail"]) == 0
-    assert main(["bench", str(cur), "--against", str(prev),
-                 "--threshold", "0.95"]) == 0
-
-
-def test_bench_repo_discovery(tmp_path, capsys):
-    cur = tmp_path / "cur.json"
-    write_bench(cur, bench_record(100_000.0))
-    assert main(["bench", str(cur), "--repo", str(tmp_path)]) == 0
-    assert "nothing to compare" in capsys.readouterr().out
-    write_bench(tmp_path / "BENCH_2.json", bench_record(90_000.0))
-    assert main(["bench", str(cur), "--repo", str(tmp_path)]) == 0
-    assert "BENCH_2.json" in capsys.readouterr().out
-
-
-def test_bench_invalid_record_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": 1}))
-    assert main(["bench", str(bad)]) == 2
 
 
 # ----------------------------------------------------------------------

@@ -41,11 +41,9 @@ def _boom():
 def test_request_round_trips_through_dict():
     request = ExperimentRequest(
         experiment="fig06", scale="smoke", workloads=("mcf", "milc"),
-        jobs=4, trace=True, timeout_seconds=12.5, max_attempts=3,
-        profile=True)
+        jobs=4, trace=True, timeout_seconds=12.5, max_attempts=3)
     data = request.to_dict()
     assert data["workloads"] == ["mcf", "milc"]  # JSON-friendly list
-    assert data["profile"] is True
     assert ExperimentRequest.from_dict(data) == request
 
 
@@ -83,9 +81,6 @@ def test_fingerprint_covers_what_not_how():
     # Execution knobs don't change what is simulated.
     same = dataclasses.replace(base, jobs=8, trace=True, max_attempts=5)
     assert base.fingerprint() == same.fingerprint()
-    # Profiling is observation-only: it must never split the dedupe key.
-    assert base.fingerprint() == dataclasses.replace(
-        base, profile=True).fingerprint()
     # The simulated content does.
     assert base.fingerprint() != dataclasses.replace(
         base, workloads=("milc",)).fingerprint()

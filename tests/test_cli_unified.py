@@ -9,7 +9,7 @@ def test_help_lists_every_subcommand(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     for command in ("experiment", "analyze", "validate", "serve",
-                    "top", "metrics", "profile", "dash"):
+                    "top", "metrics"):
         assert command in out
     assert "--log-level" in out
 
@@ -26,11 +26,13 @@ def test_version_flag(capsys):
 
 
 def test_unknown_command_is_an_error(capsys):
-    assert main(["frobnicate"]) == 2
-    captured = capsys.readouterr()
-    assert "unknown command 'frobnicate'" in captured.err
-    assert "usage: repro" in captured.err
-    assert captured.out == ""
+    # 'profile' and 'dash' were subcommands once; they are unknown now.
+    for command in ("frobnicate", "profile", "dash"):
+        assert main([command]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown command {command!r}" in captured.err
+        assert "usage: repro" in captured.err
+        assert captured.out == ""
 
 
 def test_experiment_subcommand_delegates(capsys):
@@ -41,8 +43,7 @@ def test_experiment_subcommand_delegates(capsys):
 
 @pytest.mark.parametrize("subcommand", ["experiment", "analyze",
                                         "validate", "serve",
-                                        "top", "metrics", "profile",
-                                        "dash"])
+                                        "top", "metrics"])
 def test_each_subcommand_wires_to_a_real_parser(subcommand, capsys):
     # argparse exits 0 on --help; reaching it proves the lazy import
     # resolved and the delegation passed arguments through.

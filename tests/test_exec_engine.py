@@ -1,15 +1,20 @@
 """Tests for the cell-execution engine and its on-disk cache."""
 
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.backends.base import TraceStore, active_backend
 from repro.errors import ReproError
+from repro.experiments import cellcache
 from repro.experiments.cellcache import (
+    CODE_VERSION,
     CellCache,
     alone_ipc_key_parts,
     cell_key,
+    code_version,
     decode_result,
     encode_result,
 )
@@ -49,6 +54,51 @@ def test_cell_key_changes_with_config():
     base = cell_key(_mix_cell().key_parts())
     tweaked = cell_key(_mix_cell(dap_window=128).key_parts())
     assert base != tweaked
+
+
+def _package_copy(tmp_path) -> Path:
+    """A scratch copy of the ``repro`` package sources."""
+    copy = tmp_path / "repro"
+    shutil.copytree(Path(cellcache.__file__).parents[1], copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def _flip_first_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[0] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def test_code_version_is_derived_from_the_package_sources(tmp_path):
+    assert len(CODE_VERSION) == 64
+    assert code_version(_package_copy(tmp_path)) == CODE_VERSION
+
+
+@pytest.mark.parametrize("source", [
+    "mem/timing.py", "hierarchy/msc_sectored.py", "policies/dap.py",
+    "flat/controller.py", "backends/base.py", "experiments/common.py",
+    "metrics/stats.py",
+])
+def test_code_version_changes_with_a_simulation_source(tmp_path, source):
+    copy = _package_copy(tmp_path)
+    _flip_first_byte(copy / source)
+    assert code_version(copy) != CODE_VERSION
+
+
+def test_code_version_changes_when_a_simulation_file_is_added(tmp_path):
+    copy = _package_copy(tmp_path)
+    (copy / "mem" / "extra.py").write_text("", encoding="utf-8")
+    assert code_version(copy) != CODE_VERSION
+
+
+@pytest.mark.parametrize("source", [
+    "obs/tsdb.py", "obs/trace.py", "experiments/runner.py", "cli.py",
+])
+def test_code_version_ignores_observation_and_cli_sources(tmp_path, source):
+    copy = _package_copy(tmp_path)
+    _flip_first_byte(copy / source)
+    assert code_version(copy) == CODE_VERSION
 
 
 def test_alone_ipc_key_normalizes_policy_and_cores():

@@ -54,18 +54,21 @@ def test_submit_rejects_invalid_requests(store):
 
 
 def test_rows_with_the_retired_backend_field_still_load(store):
-    """Job rows written before the backend option was removed store
-    ``"backend": null`` in their request JSON; they must stay readable."""
+    """Job rows written before the backend and profile options were
+    removed store ``"backend": null`` and ``"profile": false`` in their
+    request JSON; they must stay readable."""
     import json
     import sqlite3
 
     job = store.submit(_request())
-    old = dict(_request().to_dict(), backend=None)
-    with sqlite3.connect(store.path) as conn:
-        conn.execute("UPDATE jobs SET request = ? WHERE id = ?",
-                     (json.dumps(old), job.id))
-    assert store.get(job.id).request == _request()
-    assert [j.id for j in store.list_jobs()] == [job.id]
+    for retired in ({"backend": None}, {"profile": False},
+                    {"backend": None, "profile": False}):
+        old = dict(_request().to_dict(), **retired)
+        with sqlite3.connect(store.path) as conn:
+            conn.execute("UPDATE jobs SET request = ? WHERE id = ?",
+                         (json.dumps(old), job.id))
+        assert store.get(job.id).request == _request()
+        assert [j.id for j in store.list_jobs()] == [job.id]
 
 
 def test_claim_is_exclusive_and_oldest_first(store):

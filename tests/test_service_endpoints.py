@@ -283,17 +283,12 @@ def test_submit_poll_result_round_trip(client, pool):
     assert job["id"] in [j["id"] for j in listed]
 
 
-def test_submit_round_trips_profile(client):
-    """`profile` travels the service schema untouched and — being an
-    execution knob, not a simulation input — leaves the request
-    fingerprint alone. Unknown fields are rejected."""
-    plain = client.post("/jobs", json_body=REQUEST_BODY).json()
-    body = dict(REQUEST_BODY, profile=True)
-    job = client.post("/jobs", json_body=body).json()
-    assert job["request"]["profile"] is True
-    assert job["fingerprint"] == plain["fingerprint"]
-
-    bad = client.post("/jobs", json_body=dict(REQUEST_BODY, backend="auto"))
+@pytest.mark.parametrize("retired", [{"profile": True},
+                                     {"backend": "auto"}])
+def test_submit_rejects_retired_request_fields(client, retired):
+    """The removed ``profile`` and ``backend`` options are unknown
+    request fields now; only stored job rows still tolerate them."""
+    bad = client.post("/jobs", json_body=dict(REQUEST_BODY, **retired))
     assert bad.status == 400
     assert "unknown request field" in bad.json()["error"]
 

@@ -172,47 +172,6 @@ def test_recovered_orphan_resumes_from_cache(store, pool):
 
 
 # ----------------------------------------------------------------------
-# Profiled jobs
-# ----------------------------------------------------------------------
-
-def test_profiled_job_attaches_collapsed_profile_to_result(
-        tmp_path, store):
-    from repro.obs.profiler import Profile
-
-    pool = WorkerPool(store, workers=1,
-                      cache=api.default_cache(str(tmp_path / "cache")),
-                      poll_seconds=0.02)
-    pool.start()
-    try:
-        job = store.submit(_request(profile=True))
-        job = _wait_terminal(store, job.id)
-        plain = store.submit(_request())
-        plain = _wait_terminal(store, plain.id)
-    finally:
-        pool.stop(timeout=120)
-    assert job.state == "succeeded"
-    assert job.executed_cells == 2
-
-    result = store.result(job.id)
-    attached = result["profile"]
-    assert attached["hz"] > 0
-    profile = Profile.parse(attached["collapsed"])
-    assert profile.total_samples == attached["samples"] > 0
-    assert len(profile.cells()) == 2  # per-cell attribution survived
-
-    # An unprofiled submission has no "profile" key at all, so the
-    # service's bit-identical result comparisons are unaffected.
-    assert plain.state == "succeeded"
-    assert "profile" not in store.result(plain.id)
-
-    # The profiled result's *rows* are still bit-identical to an
-    # unprofiled direct run.
-    direct = api.run_experiment(_request(),
-                                cache=str(tmp_path / "direct-cache"))
-    assert result["rows"] == [list(r) for r in direct.rows]
-
-
-# ----------------------------------------------------------------------
 # The janitor
 # ----------------------------------------------------------------------
 
