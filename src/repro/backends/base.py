@@ -1,8 +1,9 @@
 """The process's materialized-trace front and its intra-run trace store.
 
 Bounded traces are materialized at build time (see
-:func:`repro.experiments.common.run_mix`) as :class:`PackedTrace`
-columns: the cores then consume a C-speed ``zip`` over the columns
+:func:`repro.experiments.common.run_mix`) as one
+:class:`~repro.workloads.columns.PackedTrace` each, synthesized straight
+into its columns: the cores then index the columns by an integer cursor
 instead of resuming a generator per instruction. Materialization goes
 through one :class:`SimBackend`, whose :class:`TraceStore` is a
 content-addressed in-process memo, so the many cells that replay the
@@ -21,17 +22,15 @@ to ``run_mix`` waits for a benchmark change that updates that entry.
 
 from __future__ import annotations
 
-from array import array
-from operator import itemgetter
-from struct import pack
-from typing import Callable, Iterable
+from typing import Callable
 
+from repro.workloads.columns import PackedTrace
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import (
     WorkloadProfile,
     core_base_line,
-    generate_trace,
+    trace_chunks,
 )
 
 
@@ -41,7 +40,7 @@ class TraceStore:
     Keys carry everything that determines the generated stream —
     ``(profile name, num_refs, footprint scale, seed, base line)`` — so
     a hit is exact by construction.  Entries are shared by reference;
-    consumers only ``iter()`` them and never mutate.  An entry's cost is
+    consumers only read their columns and never mutate them.  An entry's cost is
     its ``len()``, in references.  ``generated`` / ``reused`` feed the
     engine's per-run :class:`~repro.experiments.cellcache.ExecStats`
     counters.
@@ -81,41 +80,10 @@ class TraceStore:
         return entry
 
 
-_GAP = itemgetter(0)
-_WRITE = itemgetter(1)
-_LINE = itemgetter(2)
-
-
-class PackedTrace:
-    """A materialized trace as three packed columns: ``array("H")`` gaps,
-    ``bytes`` write flags (0/1) and ``array("q")`` lines — 11 bytes a
-    reference where a list of ``(gap, is_write, line)`` tuples costs
-    about 100.  Iterating yields ``(gap, is_write, line)`` tuples again
-    (``is_write`` as 0/1) from a C-level ``zip``.
-    """
-
-    __slots__ = ("gaps", "writes", "lines")
-
-    def __init__(self, refs: Iterable[tuple[int, bool, int]]) -> None:
-        refs = list(refs)
-        n = len(refs)
-        # struct converts about twice as fast as array() from an
-        # iterable, and raises struct.error on a value outside the
-        # column's type instead of wrapping it.
-        self.gaps = array("H", pack(f"{n}H", *map(_GAP, refs)))
-        self.writes = bytes(map(_WRITE, refs))
-        self.lines = array("q", pack(f"{n}q", *map(_LINE, refs)))
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def __iter__(self):
-        return zip(self.gaps, self.writes, self.lines)
-
-
 class SimBackend:
-    """Materializes :func:`~repro.workloads.synthetic.generate_trace`
-    streams as :class:`PackedTrace` columns through a :class:`TraceStore`.
+    """Materializes synthetic traces as one :class:`PackedTrace` each
+    (:func:`~repro.workloads.synthetic.trace_chunks` with a single
+    chunk) through a :class:`TraceStore`.
 
     Keep the class name and ``mix_traces`` until the benchmark ledger
     stops timing ``phase.trace_s`` through them (see the module docstring).
@@ -133,9 +101,9 @@ class SimBackend:
         key = (profile.name, num_refs, scale, seed, base_line)
         return self.store.trace(
             key,
-            lambda: PackedTrace(generate_trace(profile, num_refs,
-                                               base_line=base_line,
-                                               scale=scale, seed=seed)))
+            lambda: next(trace_chunks(profile, num_refs, base_line=base_line,
+                                      scale=scale, seed=seed,
+                                      chunk_refs=num_refs)))
 
     def mix_traces(self, mix: Mix, refs_per_core: int,
                    scale: float) -> list[PackedTrace]:

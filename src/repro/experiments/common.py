@@ -121,8 +121,8 @@ def scaled_config(scale: Scale, policy: str = "baseline",
 
 # Traces at most this many total references are materialized before the
 # run as packed columns; larger ones stream. At the limit the columns
-# hold 11 MiB (tracemalloc, rate-8 mix), and packing one core's trace
-# briefly adds its ~100 B/reference tuple list (25 MiB peak at 8 cores).
+# hold 10.9 MiB (tracemalloc, rate-8 mix), and synthesis writes them
+# directly, so the peak is the same 11.0 MiB.
 _MATERIALIZE_REFS_LIMIT = 1_000_000
 
 
@@ -151,12 +151,12 @@ def run_mix(mix: Mix, config: SystemConfig, scale: Scale,
     if scale.refs_per_core * mix.num_cores <= _MATERIALIZE_REFS_LIMIT:
         # Materialize bounded traces at build time. The reference
         # stream is identical, but the synthesis work leaves the run
-        # loop (the cores consume a C-speed column iterator), and the
-        # trace store shares each (workload, seed) trace across the
-        # cells of one invocation. Unbounded (paper-scale) traces keep
-        # streaming to cap memory.
-        traces = [iter(t) for t in active_backend().mix_traces(
-            mix, scale.refs_per_core, scale.footprint_scale)]
+        # loop (the cores index the packed columns), and the trace
+        # store shares each (workload, seed) trace across the cells of
+        # one invocation. Unbounded (paper-scale) traces keep streaming
+        # to cap memory; the cores pack them a chunk at a time.
+        traces = active_backend().mix_traces(
+            mix, scale.refs_per_core, scale.footprint_scale)
     else:
         traces = mix.traces(refs_per_core=scale.refs_per_core,
                             scale=scale.footprint_scale)
@@ -219,9 +219,9 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
         # Materialized through the trace store: seed 0 at base line 0 is
         # exactly core 0's trace in the workload's rate mix, so the
         # alone reference and the mix cells share one trace.
-        trace = iter(active_backend().trace(
+        trace = active_backend().trace(
             profile, scale.refs_per_core, scale=scale.footprint_scale,
-            seed=0))
+            seed=0)
     else:
         trace = generate_trace(
             profile, num_refs=scale.refs_per_core,

@@ -133,16 +133,25 @@ class CacheHierarchy:
              on_fill: Optional[FillCallback] = None) -> Optional[int]:
         """Demand load. Returns the SRAM latency on a hit; on an L3 miss
         returns None and calls ``on_fill(finish_cycle)`` later."""
-        return self._access(core_id, line, dirty=False, on_fill=on_fill)
+        lat = self._access(core_id, line, False)
+        if lat is None:
+            self._request_line(core_id, line, False, on_fill)
+        return lat
 
     def store(self, core_id: int, line: int,
               on_fill: Optional[FillCallback] = None) -> Optional[int]:
         """Demand store (write-allocate: a miss fetches the line, then
         marks it dirty)."""
-        return self._access(core_id, line, dirty=True, on_fill=on_fill)
+        lat = self._access(core_id, line, True)
+        if lat is None:
+            self._request_line(core_id, line, True, on_fill)
+        return lat
 
-    def _access(self, core_id: int, line: int, dirty: bool,
-                on_fill: Optional[FillCallback]) -> Optional[int]:
+    def _access(self, core_id: int, line: int, dirty: bool) -> Optional[int]:
+        """The SRAM walk of a demand access: its latency on a hit, or
+        None after counting an L3 miss. The caller must then register
+        the miss with :meth:`_request_line`, before anything else runs,
+        so only a miss pays for a fill callback."""
         # Runs once per memory instruction. The three SRAM lookups and
         # the L1/L2 fill cascades are inlined — byte-for-byte the LRU
         # branch of SRAMCache.lookup/fill_pair — so the common SRAM
@@ -224,7 +233,6 @@ class CacheHierarchy:
         l3.misses += 1
         # L3 miss.
         self.l3_demand_misses[core_id] += 1
-        self._request_line(core_id, line, dirty, on_fill)
         return None
 
     # ------------------------------------------------------------------

@@ -90,6 +90,12 @@ class SystemConfig:
             )
         if self.num_cores <= 0:
             raise ConfigError("num_cores must be positive")
+        # A core with no ROB entry, dispatch slot or MSHR cannot make
+        # progress: it would "finish" having run nothing.
+        for name in ("rob_entries", "width", "mshrs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
 
     def with_policy(self, policy: str) -> "SystemConfig":
         return replace(self, policy=policy)
@@ -200,10 +206,6 @@ class System:
         #: Optional telemetry hub (see :mod:`repro.obs`); installed by
         #: the run helpers, started on :meth:`run`.
         self.telemetry = None
-        self._done = 0
-
-    def _core_done(self, core: TraceCore) -> None:
-        self._done += 1
 
     def run(self, max_cycles: Optional[int] = None) -> None:
         """Run every core's trace to completion (plus queue drain).
@@ -263,7 +265,7 @@ def build_system(
             TraceCore(
                 sim, core_id, trace, hierarchy,
                 rob_entries=config.rob_entries, width=config.width,
-                mshrs=config.mshrs, on_done=system._core_done,
+                mshrs=config.mshrs,
             )
         )
     return system

@@ -10,6 +10,7 @@ hooks (``on_read``/``on_write``/``tick``) for heuristic policies
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -34,14 +35,25 @@ class SteeringPolicy:
     throttles_prefetch = False
 
     def __init__(self) -> None:
-        self.controller: Optional["MscController"] = None
+        self._controller: Optional[weakref.ref] = None
         #: Decision observer (a :class:`repro.obs.telemetry.Telemetry`)
         #: installed by the telemetry layer; None in uninstrumented runs,
         #: so the hot path pays one ``is None`` check at most.
         self.observer = None
 
+    @property
+    def controller(self) -> Optional["MscController"]:
+        """The bound controller, or None before :meth:`bind`.
+
+        Held weakly: the controller owns its policy, and a strong
+        back-reference would make every finished system a reference
+        cycle that only the cyclic collector frees.
+        """
+        ref = self._controller
+        return None if ref is None else ref()
+
     def bind(self, controller: "MscController") -> None:
-        self.controller = controller
+        self._controller = weakref.ref(controller)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks

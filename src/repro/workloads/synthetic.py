@@ -1,6 +1,7 @@
 """Parameterized synthetic memory-trace generation.
 
-A trace is a deterministic stream of ``(gap, is_write, line)`` tuples.
+A trace is a deterministic stream of ``(gap, is_write, line)`` tuples,
+synthesized straight into packed columns (:func:`trace_chunks`).
 Each memory reference is drawn from a five-class mixture chosen to
 reproduce the steady-state behaviour of the paper's warmed-up
 1-billion-instruction snippets:
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import WorkloadError
+from repro.workloads.columns import CHUNK_REFS, PackedTrace, pack_column
 
 LINE_BYTES = 64
 LINES_PER_MB = (1 << 20) // LINE_BYTES
@@ -155,8 +157,24 @@ def generate_trace(
 
     ``base_line`` offsets the copy's address space (rate mode runs
     disjoint copies); ``scale`` shrinks the warmed regions in step with
-    the experiment's capacity scaling.
+    the experiment's capacity scaling. The tuples are read back from
+    :func:`trace_chunks`' bounded column chunks.
     """
+    for chunk in trace_chunks(profile, num_refs, base_line, scale, seed):
+        yield from chunk
+
+
+def trace_chunks(
+    profile: WorkloadProfile,
+    num_refs: int,
+    base_line: int = 0,
+    scale: float = 1.0,
+    seed: int = 0,
+    chunk_refs: int = CHUNK_REFS,
+) -> Iterator[PackedTrace]:
+    """The :func:`generate_trace` stream as :class:`PackedTrace` chunks
+    of at most ``chunk_refs`` references, written straight from the
+    synthesis loop (``chunk_refs=num_refs`` gives one chunk)."""
     if num_refs <= 0:
         raise WorkloadError(f"num_refs must be positive, got {num_refs}")
     rng = random.Random(_seed_for(profile, seed))
@@ -206,44 +224,56 @@ def generate_trace(
     sparse_bits = sparse_regions.bit_length()
     write_fraction = profile.write_fraction
 
-    for _ in range(num_refs):
-        if mean_gap:
-            gap = getrandbits(gap_bits)
-            while gap >= gap_span:
+    for start in range(0, num_refs, chunk_refs):
+        # Lists append about four times faster than arrays; each chunk
+        # is packed into its columns once, when it is complete.
+        gaps = []
+        writes = bytearray()
+        lines = []
+        gaps_append = gaps.append
+        writes_append = writes.append
+        lines_append = lines.append
+        for _ in range(min(chunk_refs, num_refs - start)):
+            if mean_gap:
                 gap = getrandbits(gap_bits)
-        else:
-            gap = 0
-        draw = rand()
-        if draw < t_local:
-            r = getrandbits(local_bits)
-            while r >= local_lines:
+                while gap >= gap_span:
+                    gap = getrandbits(gap_bits)
+            else:
+                gap = 0
+            draw = rand()
+            if draw < t_local:
                 r = getrandbits(local_bits)
-            line = local_base + r
-        elif draw < t_stream:
-            pos = stream_pos[stream_idx]
-            line = base_line + pos % stream_mod
-            stream_pos[stream_idx] = (pos + stride) % stream_mod
-            stream_idx = (stream_idx + 1) % NUM_STREAMS
-        elif draw < t_hot:
-            if rand() < hot_move:
-                r = getrandbits(hot_bits)
-                while r >= hot_sectors:
+                while r >= local_lines:
+                    r = getrandbits(local_bits)
+                line = local_base + r
+            elif draw < t_stream:
+                pos = stream_pos[stream_idx]
+                line = base_line + pos % stream_mod
+                stream_pos[stream_idx] = (pos + stride) % stream_mod
+                stream_idx = (stream_idx + 1) % NUM_STREAMS
+            elif draw < t_hot:
+                if rand() < hot_move:
                     r = getrandbits(hot_bits)
-                hot_sector_base = hot_base + r * SECTOR_LINES
-            r = getrandbits(sector_bits)
-            while r >= SECTOR_LINES:
+                    while r >= hot_sectors:
+                        r = getrandbits(hot_bits)
+                    hot_sector_base = hot_base + r * SECTOR_LINES
                 r = getrandbits(sector_bits)
-            line = base_line + hot_sector_base + r
-        elif draw < t_fresh:
-            line = base_line + fresh_ptr
-            fresh_ptr += 1
-        else:
-            r = getrandbits(sparse_bits)
-            while r >= sparse_regions:
+                while r >= SECTOR_LINES:
+                    r = getrandbits(sector_bits)
+                line = base_line + hot_sector_base + r
+            elif draw < t_fresh:
+                line = base_line + fresh_ptr
+                fresh_ptr += 1
+            else:
                 r = getrandbits(sparse_bits)
-            line = base_line + sparse_base + r * SECTOR_LINES
-        is_write = rand() < write_fraction
-        yield gap, is_write, line
+                while r >= sparse_regions:
+                    r = getrandbits(sparse_bits)
+                line = base_line + sparse_base + r * SECTOR_LINES
+            gaps_append(gap)
+            writes_append(rand() < write_fraction)
+            lines_append(line)
+        yield PackedTrace.of_columns(pack_column("H", gaps), bytes(writes),
+                                     pack_column("q", lines))
 
 
 def warm_lines(

@@ -18,7 +18,11 @@ from repro.experiments.common import SMOKE, scaled_config
 from repro.hierarchy.system import MiB, build_system
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import PROFILES
-from repro.workloads.synthetic import core_base_line, generate_trace
+from repro.workloads.synthetic import (
+    core_base_line,
+    generate_trace,
+    trace_chunks,
+)
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +226,19 @@ def test_packed_trace_replays_the_generator(name):
     entry = SimBackend().trace(profile, _REFS, **kwargs)
     assert len(entry) == _REFS
     assert list(iter(entry)) == list(generate_trace(profile, _REFS, **kwargs))
+
+
+@pytest.mark.parametrize("chunk_refs", [1, 7, 500, _REFS])
+def test_trace_chunks_split_the_same_columns(chunk_refs):
+    profile = PROFILES["parboil-lbm"]
+    whole = SimBackend().trace(profile, _REFS, seed=2)
+    chunks = list(trace_chunks(profile, _REFS, seed=2,
+                               chunk_refs=chunk_refs))
+    assert len(chunks) == -(-_REFS // chunk_refs)
+    assert b"".join(c.gaps.tobytes() for c in chunks) == whole.gaps.tobytes()
+    assert b"".join(c.writes for c in chunks) == whole.writes
+    assert b"".join(c.lines.tobytes() for c in chunks) == \
+        whole.lines.tobytes()
 
 
 def test_packed_trace_costs_about_eleven_bytes_a_reference():

@@ -1,12 +1,18 @@
 """Tests for the trace-driven core model."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Simulator
 from repro.hierarchy.cache_hierarchy import CacheHierarchy, SramLevels
 from repro.hierarchy.cpu_core import TraceCore
 from repro.mem.request import AccessKind
 from repro.policies.base import SteeringPolicy
+from repro.workloads import columns
+from repro.workloads.columns import PackedTrace
 
 
 class FakeMsc:
@@ -124,3 +130,82 @@ def test_deterministic_across_runs():
         sim.run()
         finishes.append(core.finish_cycle)
     assert finishes[0] == finishes[1]
+
+
+# ----------------------------------------------------------------------
+# The column cursor and its chunks
+# ----------------------------------------------------------------------
+
+def _outcome(trace, **core_kwargs):
+    sim, core, msc = build(trace, latency=150, **core_kwargs)
+    core.start()
+    sim.run()
+    assert core.done
+    return (core.instr_count, core.finish_cycle, core.loads, core.stores,
+            core.l3_miss_loads, msc.reads, sim.events_dispatched)
+
+
+def _generator(refs):
+    yield from refs
+
+
+_REF = st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.booleans(),
+    # Mostly L1-resident lines, plus far lines that miss the tiny L3.
+    st.one_of(st.integers(min_value=0, max_value=15),
+              st.integers(min_value=0, max_value=400).map(
+                  lambda i: (1 << 20) + 64 * i)),
+)
+
+
+@given(refs=st.lists(_REF, min_size=1, max_size=60),
+       rob_entries=st.integers(min_value=1, max_value=8),
+       mshrs=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_every_trace_form_runs_identically(refs, rob_entries, mshrs):
+    kwargs = dict(rob_entries=rob_entries, mshrs=mshrs)
+    expected = _outcome(PackedTrace(refs), **kwargs)
+    assert expected[0] == sum(gap + 1 for gap, _, _ in refs)
+    assert expected[2:4] == (sum(not w for _, w, _ in refs),
+                             sum(w for _, w, _ in refs))
+    assert _outcome(list(refs), **kwargs) == expected
+    for chunk in (1, 2, 7):
+        with mock.patch.object(columns, "CHUNK_REFS", chunk):
+            assert _outcome(_generator(refs), **kwargs) == expected
+
+
+def test_sram_hits_never_register_a_miss():
+    # Two first touches, then (past the 200-cycle fills) 61 SRAM hits.
+    trace = [(1, False, 5), (0, True, 6), (2_000, False, 5)] + [
+        (2, i % 3 == 0, 5 + i % 2) for i in range(60)]
+    sim, core, msc = build(trace)
+    requested = []
+    request_line = core.hierarchy._request_line
+    core.hierarchy._request_line = (
+        lambda *args: requested.append(args[1]) or request_line(*args))
+    core.start()
+    sim.run()
+    assert core.done
+    assert requested == [5, 6]
+    assert msc.reads == 2
+    assert core.l3_miss_loads == 1
+
+
+def test_trace_end_waits_for_an_inflight_load_miss():
+    sim, core, msc = build([(0, False, 1 << 20)], latency=1_000)
+    core.start()
+    sim.run(until=500)
+    assert not core.done  # the trace is consumed, the miss is not
+    sim.run()
+    assert core.done
+    assert core.finish_cycle >= 1_000
+
+
+def test_trace_end_waits_for_an_inflight_store_miss():
+    sim, core, msc = build([(0, True, 1 << 20)], latency=1_000)
+    core.start()
+    sim.run(until=500)
+    assert not core.done
+    sim.run()
+    assert core.done and core.stores == 1

@@ -10,7 +10,7 @@ attribute to one of these classes means adding it to ``__slots__``.
 
 import pytest
 
-from repro.backends.base import PackedTrace, SimBackend, TraceStore
+from repro.backends.base import SimBackend, TraceStore
 from repro.cache.replacement import LRUPolicy, NRUPolicy
 from repro.cache.sectored import SectoredCacheArray, _Sector
 from repro.cache.sram_cache import Eviction, SRAMCache, _Line
@@ -18,6 +18,7 @@ from repro.engine.event_queue import Simulator
 from repro.hierarchy.cpu_core import TraceCore
 from repro.mem.channel import ChannelStats, DramChannel, _Bank
 from repro.mem.request import Request
+from repro.workloads.columns import PackedTrace
 
 HOT_PATH_CLASSES = [
     Simulator,
@@ -55,3 +56,14 @@ def test_declares_slots_and_has_no_instance_dict(cls):
             f"reintroduces a per-instance __dict__")
     assert not hasattr(cls, "__dictoffset__") or cls.__dictoffset__ == 0, (
         f"{cls.__name__} instances carry a __dict__")
+
+
+def test_trace_core_reads_columns_by_cursor():
+    # The core reads the current chunk's columns by an int cursor and
+    # binds its wake-up callback once; it keeps no trace iterator, no
+    # pending tuple and no per-reference load/store counters.
+    slots = set(TraceCore.__slots__)
+    assert {"_chunks", "_gaps", "_writes", "_lines", "_pos",
+            "_wake"} <= slots
+    assert not slots & {"_trace", "_pending", "_exhausted", "loads",
+                        "stores"}

@@ -124,6 +124,30 @@ def test_loaded_trace_drives_a_system(tmp_path):
     assert system.cores[0].ipc > 0
 
 
+def test_trace_file_with_long_gaps_drives_a_system(tmp_path):
+    # Compute gaps past a stored trace's 16-bit gap column must still
+    # run. The figures were recorded with a core that read the tuples
+    # unpacked, so packing must not move them.
+    entries = list(generate_trace(get_profile("gcc.expr"), num_refs=400,
+                                  scale=1 / 64))
+    entries[200] = (70_000, False, entries[200][2])
+    entries[300] = (123_456, True, entries[300][2])
+    path = str(tmp_path / "long.trace")
+    write_trace(path, entries)
+    config = SystemConfig(
+        num_cores=1, msc_capacity_bytes=(4 << 30) // 64,
+        tag_cache_entries=2048,
+        sram=SramLevels(l1_bytes=16 * 1024, l2_bytes=64 * 1024,
+                        l3_bytes=256 * 1024),
+    )
+    system = build_system(config, [read_trace(path)])
+    system.run()
+    core = system.cores[0]
+    assert (core.instr_count, core.finish_cycle) == (194_687, 50_693)
+    assert (core.loads, core.stores, core.l3_miss_loads) == (235, 165, 134)
+    assert system.sim.events_dispatched == 1_456
+
+
 # ----------------------------------------------------------------------
 # Run report
 # ----------------------------------------------------------------------

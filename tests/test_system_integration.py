@@ -97,6 +97,16 @@ def test_mismatched_trace_count_rejected():
         build(tiny_config(), mix.traces(refs_per_core=100, scale=1 / 64))
 
 
+@pytest.mark.parametrize("field", ["rob_entries", "width", "mshrs"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_core_without_progress_rejected(field, value):
+    # Such a core cannot make progress: with no MSHR it would report
+    # IPC 0 having run nothing, and a zero width divides by zero.
+    with pytest.raises(ConfigError, match=rf"{field} must be at least 1, "
+                                          rf"got {value}"):
+        SystemConfig(**{field: value})
+
+
 def test_config_key_stability():
     a, b = tiny_config(), tiny_config()
     assert a.key() == b.key()
