@@ -49,10 +49,9 @@ def build(policy: str):
         for core in range(NUM_CORES)
     ]
     system = build_system(config, traces)
-    for core in range(NUM_CORES):
-        for line, dirty in warm_lines(STREAM_WRITER, core_base_line(core),
-                                      scale=SCALE, seed=core):
-            system.msc.warm_line(line, dirty)
+    system.msc.warm_many(
+        warm_lines(STREAM_WRITER, core_base_line(core), scale=SCALE, seed=core)
+        for core in range(NUM_CORES))
     return system
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -38,6 +39,11 @@ class AlloyCacheArray:
     """Direct-mapped cache keyed by 64-byte line address."""
 
     def __init__(self, name: str, capacity_bytes: int, line_bytes: int = 64) -> None:
+        for field_name, value in (("capacity_bytes", capacity_bytes),
+                                  ("line_bytes", line_bytes)):
+            if value <= 0:
+                raise ConfigError(
+                    f"{name}: {field_name} must be positive, not {value!r}")
         if capacity_bytes % line_bytes != 0:
             raise ConfigError(f"{name}: capacity not a multiple of the line size")
         self.name = name
@@ -107,24 +113,27 @@ class AlloyCacheArray:
         self.evictions += 1
         return AlloyEviction(line=old >> 1, dirty=old & 1 == 1)
 
-    def warm_many(self, lines) -> int:
-        """Batched :meth:`fill` of ``(line, dirty)`` pairs (pre-run
-        warmup): the same final state and eviction count, without the
-        per-victim :class:`AlloyEviction`. Returns the pair count."""
+    def warm_many(self, warm_sets) -> int:
+        """Batched :meth:`fill` of :class:`~repro.workloads.columns.WarmSet`
+        lines (pre-run warmup): the same final state and eviction count,
+        without the per-victim :class:`AlloyEviction`. Returns the line
+        count."""
         sets = self._sets
         num_sets = self.num_sets
         count = evictions = 0
-        for line, dirty in lines:
-            count += 1
-            idx = line % num_sets
-            old = sets[idx]
-            if old >> 1 == line:
-                if dirty:
-                    sets[idx] = old | 1
-                continue
-            sets[idx] = line << 1 | 1 if dirty else line << 1
-            if old != _EMPTY:
-                evictions += 1
+        for warm_set in warm_sets:
+            count += len(warm_set)
+            for line, dirty in zip(chain.from_iterable(warm_set.runs),
+                                   warm_set.dirty):
+                idx = line % num_sets
+                old = sets[idx]
+                if old >> 1 == line:
+                    if dirty:
+                        sets[idx] = old | 1
+                    continue
+                sets[idx] = line << 1 | dirty
+                if old != _EMPTY:
+                    evictions += 1
         self.evictions += evictions
         return count
 

@@ -30,6 +30,11 @@ from repro.cache.replacement import make_policy
 from repro.errors import ConfigError
 
 
+# Dirty flags (one 0/1 byte a block) to the ASCII bits ``int(..., 2)``
+# parses into a block mask.
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
 class SectorProbe(enum.Enum):
     HIT = "hit"                    # sector present and block valid
     BLOCK_MISS = "block_miss"      # sector present, block invalid
@@ -88,6 +93,13 @@ class SectoredCacheArray:
         line_bytes: int = 64,
         policy: str = "nru",
     ) -> None:
+        for field_name, value in (("capacity_bytes", capacity_bytes),
+                                  ("assoc", assoc),
+                                  ("sector_bytes", sector_bytes),
+                                  ("line_bytes", line_bytes)):
+            if value <= 0:
+                raise ConfigError(
+                    f"{name}: {field_name} must be positive, not {value!r}")
         if sector_bytes % line_bytes != 0:
             raise ConfigError(f"{name}: sector must be a multiple of the line size")
         if capacity_bytes % (assoc * sector_bytes) != 0:
@@ -243,24 +255,68 @@ class SectoredCacheArray:
             sector.dirty |= bit
         return True
 
-    def warm_many(self, lines) -> int:
-        """Install ``(line, dirty)`` pairs without stats (pre-run warmup):
-        allocate each absent sector, then set the block valid (and
-        dirty). Returns the pair count.
+    def warm_many(self, warm_sets) -> int:
+        """Install :class:`~repro.workloads.columns.WarmSet` s without
+        stats (pre-run warmup): allocate each absent sector, then set its
+        blocks valid (and dirty). Returns the line count.
 
-        Consecutive same-sector lines reuse one resolution; only an
-        allocation can evict, and it happens at a sector change, before
-        the re-resolve, so the result equals installing one pair at a
-        time in any order.
+        A step-1 run is installed a sector at a time: one resolution
+        (and, for an absent sector, one allocation) per sector, the valid
+        mask from the span and the dirty mask parsed from the span's
+        slice of the flag column. Other runs go line by line, resolving
+        again at each sector change. Only an allocation can evict, and it
+        happens at a sector change before the re-resolve, so the result
+        equals installing one ``(line, dirty)`` pair at a time in order:
+        the same allocations, in the same order.
         """
+        bps = self.blocks_per_sector
+        num_sets = self.num_sets
+        sets = self._sets
+        allocate = self.allocate_sector
+        count = 0
+        for warm_set in warm_sets:
+            flags = warm_set.dirty
+            pos = 0
+            for run in warm_set.runs:
+                n = len(run)
+                if run.step != 1:
+                    self._warm_lines(run, flags[pos:pos + n])
+                    pos += n
+                    continue
+                # The run's flags as ASCII bits, last line first, so the
+                # lines [i, j) of the run read as bits[n - j:n - i].
+                bits = flags[pos:pos + n][::-1].translate(_BITS)
+                start = run.start
+                i = 0
+                while i < n:
+                    line = start + i
+                    off = line % bps
+                    j = i + bps - off
+                    if j > n:
+                        j = n
+                    sid = line // bps
+                    ways = sets.get(sid % num_sets)
+                    sector = ways.get(sid) if ways is not None else None
+                    if sector is None:
+                        allocate(line)
+                        ways = sets.get(sid % num_sets)  # None: disabled
+                        sector = ways.get(sid) if ways is not None else None
+                    if sector is not None:
+                        sector.valid |= ((1 << (j - i)) - 1) << off
+                        sector.dirty |= int(bits[n - j:n - i], 2) << off
+                    i = j
+                pos += n
+            count += len(flags)
+        return count
+
+    def _warm_lines(self, lines, flags: bytes) -> None:
+        """Install ``lines`` one at a time with their ``flags``."""
         bps = self.blocks_per_sector
         find = self.find_sector
         allocate = self.allocate_sector
         cached_sid = -1
         sector = None
-        count = 0
-        for line, dirty in lines:
-            count += 1
+        for line, dirty in zip(lines, flags):
             sid = line // bps
             if sid != cached_sid:
                 sector = find(line)
@@ -274,7 +330,6 @@ class SectoredCacheArray:
             sector.valid |= bit
             if dirty:
                 sector.dirty |= bit
-        return count
 
     # ------------------------------------------------------------------
     # Allocation / invalidation

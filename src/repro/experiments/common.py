@@ -29,9 +29,9 @@ from repro.hierarchy.cache_hierarchy import SramLevels
 from repro.hierarchy.system import GiB, SystemConfig, build_system
 from repro.metrics.speedup import ALONE_IPC_CACHE
 from repro.metrics.stats import RunResult, collect_result
-from repro.workloads.mixes import Mix
+from repro.workloads.mixes import Mix, rate_mix
 from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import generate_trace, warm_lines
+from repro.workloads.synthetic import generate_trace
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,12 @@ _MATERIALIZE_REFS_LIMIT = 1_000_000
 
 
 def warm_system(system, mix: Mix, scale: Scale) -> int:
-    """Pre-install the mix's warm set in the memory-side cache."""
+    """Pre-install the mix's warm set in the memory-side cache.
+
+    Both halves of warmup run here — synthesizing the per-core
+    :class:`~repro.workloads.columns.WarmSet` s and installing them — so
+    a ledger wrapping this function books all of it.
+    """
     return system.msc.warm_many(mix.warm_sets(scale.footprint_scale))
 
 
@@ -228,7 +233,8 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
             scale=scale.footprint_scale, seed=0,
         )
     system = build_system(solo, [trace])
-    system.msc.warm_many(warm_lines(profile, scale=scale.footprint_scale, seed=0))
+    # A one-copy rate mix: core 0's warm set, as in the rate-8 mix.
+    warm_system(system, rate_mix(profile_name, ways=1), scale)
     system.run()
     ipc = system.cores[0].ipc or 1e-9
     ALONE_IPC_CACHE.store(memo_key, ipc, disk_key)

@@ -258,7 +258,9 @@ class CacheHierarchy:
             self.msc.write(ev3[0], core_id=-1)
         for core_id, dirty, callback in waiters:
             if core_id >= 0:
-                # Same transitions as _fill_l2 then _fill_l1, inlined.
+                # Fill L2 (clean), then L1: a dirty L2 victim cascades
+                # into L3 (and a dirty L3 victim to the MS$); a dirty L1
+                # victim folds into L2.
                 ev2 = self.l2[core_id].fill_pair(line)
                 if ev2 is not None and ev2[1]:
                     ev3 = self.l3.fill_pair(ev2[0], True)
@@ -269,26 +271,6 @@ class CacheHierarchy:
                     self.l2[core_id].fill_pair(ev1[0], True)
             if callback is not None:
                 callback(finish)
-
-    # ------------------------------------------------------------------
-    # Fill plumbing with dirty-writeback cascades
-    # ------------------------------------------------------------------
-    def _fill_l1(self, core_id: int, line: int, dirty: bool) -> None:
-        evicted = self.l1[core_id].fill_pair(line, dirty)
-        if evicted is not None and evicted[1]:
-            self.l2[core_id].fill_pair(evicted[0], True)
-
-    def _fill_l2(self, core_id: int, line: int) -> None:
-        evicted = self.l2[core_id].fill_pair(line)
-        if evicted is not None and evicted[1]:
-            ev3 = self.l3.fill_pair(evicted[0], True)
-            if ev3 is not None and ev3[1]:
-                self.msc.write(ev3[0], core_id)
-
-    def _fill_l3(self, line: int, dirty: bool = False) -> None:
-        evicted = self.l3.fill_pair(line, dirty)
-        if evicted is not None and evicted[1]:
-            self.msc.write(evicted[0], core_id=-1)
 
     # ------------------------------------------------------------------
     # Prefetching

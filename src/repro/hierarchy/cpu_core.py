@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.engine.event_queue import Simulator
 from repro.hierarchy.cache_hierarchy import CacheHierarchy
@@ -66,7 +66,6 @@ class TraceCore:
         "rob_entries",
         "width",
         "mshrs",
-        "on_done",
         "_chunks",
         "_gaps",
         "_writes",
@@ -97,7 +96,6 @@ class TraceCore:
         rob_entries: int = 224,
         width: int = 4,
         mshrs: int = 16,
-        on_done: Optional[Callable[["TraceCore"], None]] = None,
     ) -> None:
         self.sim = sim
         self.core_id = core_id
@@ -105,7 +103,6 @@ class TraceCore:
         self.rob_entries = rob_entries
         self.width = width
         self.mshrs = mshrs
-        self.on_done = on_done
 
         # The cursor: position ``_pos`` in the current chunk's columns;
         # the counts of earlier chunks back ``loads``/``stores``.
@@ -307,5 +304,3 @@ class TraceCore:
         # finished system is freed by reference counting, not by the
         # cyclic collector.
         self._wake = None
-        if self.on_done is not None:
-            self.on_done(self)

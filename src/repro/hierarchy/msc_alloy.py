@@ -109,8 +109,8 @@ class AlloyMscController(MscController):
         """Install a block without generating DRAM traffic (warmup)."""
         self.array.fill(line, dirty=dirty)
 
-    def warm_many(self, lines) -> int:
-        return self.array.warm_many(lines)
+    def warm_many(self, warm_sets) -> int:
+        return self.array.warm_many(warm_sets)
 
     # ------------------------------------------------------------------
     # Demand read

@@ -83,18 +83,24 @@ class MscController:
 
         Stands in for the paper's warmup phase: after a billion warmup
         instructions the memory-side cache holds the workload's warm set.
+        The sectored and eDRAM controllers install it as a one-line
+        :class:`~repro.workloads.columns.WarmSet` through
+        :meth:`warm_many`.
         """
         raise NotImplementedError
 
-    def warm_many(self, lines) -> int:
-        """Install ``(line, dirty)`` pairs (pre-run warmup); returns the
-        count. Equivalent to calling :meth:`warm_line` per pair;
-        controllers may override with a batched fast path."""
+    def warm_many(self, warm_sets) -> int:
+        """Install :class:`~repro.workloads.columns.WarmSet` s (pre-run
+        warmup); returns the line count. Equivalent to calling
+        :meth:`warm_line` per ``(line, dirty)`` pair, which is what this
+        default does; the cache controllers pass the sets to their
+        array's batched install."""
         warm = self.warm_line
         count = 0
-        for line, dirty in lines:
-            warm(line, dirty)
-            count += 1
+        for warm_set in warm_sets:
+            for line, dirty in warm_set:
+                warm(line, dirty)
+            count += len(warm_set)
         return count
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.mem.device import MemoryDevice
 from repro.mem.request import AccessKind, Request
 from repro.hierarchy.msc_base import MscController, ReadCallback
 from repro.policies.base import SteeringPolicy
+from repro.workloads.columns import WarmSet
 
 EDRAM_TAG_LATENCY = 8  # on-die SRAM metadata lookup, CPU cycles at 4 GHz
 
@@ -49,10 +50,13 @@ class EdramMscController(MscController):
     # ------------------------------------------------------------------
     def warm_line(self, line: int, dirty: bool = False) -> None:
         """Install a block without generating DRAM traffic (warmup)."""
-        self.array.warm_many(((line, dirty),))
+        self.array.warm_many((WarmSet((range(line, line + 1),),
+                                      bytes((dirty,))),))
 
-    def warm_many(self, lines) -> int:
-        return self.array.warm_many(lines)
+    def warm_many(self, warm_sets) -> int:
+        """Install the warm sets a sector at a time
+        (:meth:`SectoredCacheArray.warm_many`)."""
+        return self.array.warm_many(warm_sets)
 
     # ------------------------------------------------------------------
     # Demand read

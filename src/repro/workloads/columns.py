@@ -1,4 +1,4 @@
-"""Packed trace columns: the one trace representation the cores read.
+"""Packed columns: the trace and warm-set representations.
 
 A trace is a stream of ``(gap, is_write, line)`` references. The cores
 read it as three parallel columns by an integer cursor
@@ -11,12 +11,16 @@ chunk at a time:
 - any other iterable of tuples — a trace file, a test list, a streamed
   generator — is packed by :func:`column_chunks` a chunk at a time, as
   the core's cursor reaches the end of the previous one.
+
+A warm set — the blocks resident in the memory-side cache after warmup —
+is a :class:`WarmSet`: ``range`` runs of lines plus one dirty flag per
+line, which the cache arrays install a sector at a time.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from struct import pack
 from typing import Iterable, Iterator
@@ -93,3 +97,28 @@ def column_chunks(trace: Iterable) -> Iterator[PackedTrace]:
         yield PackedTrace.of_columns(pack_column("Q", list(map(_GAP, chunk))),
                                      bytes(map(_WRITE, chunk)),
                                      pack_column("q", list(map(_LINE, chunk))))
+
+
+class WarmSet:
+    """A warm set as line runs plus a dirty-flag column.
+
+    ``runs`` is a tuple of ``range`` objects (free whatever their
+    length); ``dirty`` is ``bytes`` with one 0/1 flag per line, in run
+    order. ``len()`` is the line count; iterating yields the
+    ``(line, dirty)`` pairs, ``dirty`` as a bool.
+    """
+
+    __slots__ = ("runs", "dirty")
+
+    def __init__(self, runs: tuple[range, ...], dirty: bytes) -> None:
+        if sum(map(len, runs)) != len(dirty):
+            raise ValueError(f"{len(dirty)} dirty flags for "
+                             f"{sum(map(len, runs))} lines")
+        self.runs = runs
+        self.dirty = dirty
+
+    def __len__(self) -> int:
+        return len(self.dirty)
+
+    def __iter__(self) -> Iterator[tuple[int, bool]]:
+        return zip(chain.from_iterable(self.runs), map(bool, self.dirty))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import WorkloadError
+from repro.workloads.columns import WarmSet
 from repro.workloads.profiles import (
     BANDWIDTH_INSENSITIVE,
     BANDWIDTH_SENSITIVE,
@@ -50,15 +51,19 @@ class Mix:
             for core_id, member in enumerate(self.members)
         ]
 
-    def warm_sets(self, scale: float = 1.0) -> Iterator[tuple[int, bool]]:
-        """All (line, dirty) pairs of the mix's warm set, across cores."""
-        for core_id, member in enumerate(self.members):
-            yield from warm_lines(
+    def warm_sets(self, scale: float = 1.0) -> list[WarmSet]:
+        """The mix's warm set: one :class:`WarmSet` per core, in core
+        order (kept apart, so each core's flags are drawn and packed on
+        their own)."""
+        return [
+            warm_lines(
                 get_profile(member),
                 base_line=core_base_line(core_id),
                 scale=scale,
                 seed=core_id,
             )
+            for core_id, member in enumerate(self.members)
+        ]
 
 
 def rate_mix(name: str, ways: int = 8) -> Mix:

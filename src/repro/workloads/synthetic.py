@@ -19,10 +19,11 @@ reproduce the steady-state behaviour of the paper's warmed-up
   hits the MS$ but thrashes sector metadata structures (the tag-cache
   pathology of omnetpp/astar in Fig. 5).
 
-``warm_lines`` enumerates the warm set (stream + hot + sparse regions)
-so a run can pre-install it in the memory-side cache, standing in for
-the paper's warmup phase. All randomness is a pure function of
-(profile, seed).
+``warm_lines`` describes the warm set (stream + hot + sparse regions)
+as a :class:`~repro.workloads.columns.WarmSet` — line runs plus a
+dirty-flag column — so a run can pre-install it in the memory-side
+cache a sector at a time, standing in for the paper's warmup phase. All
+randomness is a pure function of (profile, seed).
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import WorkloadError
-from repro.workloads.columns import CHUNK_REFS, PackedTrace, pack_column
+from repro.workloads.columns import (
+    CHUNK_REFS,
+    PackedTrace,
+    WarmSet,
+    pack_column,
+)
 
 LINE_BYTES = 64
 LINES_PER_MB = (1 << 20) // LINE_BYTES
@@ -103,10 +109,6 @@ class _Regions:
     sparse_base: int
     sparse_regions: int
     fresh_base: int
-
-    @property
-    def warm_lines_count(self) -> int:
-        return self.stream_lines + self.hot_lines + self.sparse_regions
 
 
 def _align(lines: int) -> int:
@@ -281,23 +283,34 @@ def warm_lines(
     base_line: int = 0,
     scale: float = 1.0,
     seed: int = 0,
-) -> Iterator[tuple[int, bool]]:
-    """Enumerate the warm set: ``(line, dirty)`` for every block that
-    would be resident in the memory-side cache after warmup."""
+) -> WarmSet:
+    """The warm set: every block that would be resident in the
+    memory-side cache after warmup, with its dirty flag.
+
+    The lines are at most three runs — the stream and hot regions (step
+    1) and the sparse space (one line per 4 KB region) — so only the
+    flags cost memory: one byte a line. Each flag is one ``random() <
+    write_fraction`` draw, taken per line in run order (stream, hot,
+    sparse); the draws are the warm set's reproducibility contract, so
+    they stay one ``random()`` call each rather than a cheaper bulk draw.
+    """
     rng = random.Random(_seed_for(profile, seed) ^ 0x5A5A5A5A)
     regions = _layout(profile, scale)
-    wf = profile.write_fraction
-    rand = rng.random
+    runs = []
     if profile.mix.stream > 0:
-        for line in range(base_line, base_line + regions.stream_lines):
-            yield line, rand() < wf
+        runs.append(range(base_line, base_line + regions.stream_lines))
     if profile.mix.hot > 0:
-        for line in range(base_line + regions.hot_base,
-                          base_line + regions.hot_base + regions.hot_lines):
-            yield line, rand() < wf
+        hot_start = base_line + regions.hot_base
+        runs.append(range(hot_start, hot_start + regions.hot_lines))
     sparse_start = base_line + regions.sparse_base
-    for region in range(regions.sparse_regions):
-        yield sparse_start + region * SECTOR_LINES, rand() < wf
+    runs.append(range(sparse_start,
+                      sparse_start + regions.sparse_regions * SECTOR_LINES,
+                      SECTOR_LINES))
+    runs = tuple(run for run in runs if run)
+    rand = rng.random
+    wf = profile.write_fraction
+    return WarmSet(runs, bytes([rand() < wf
+                                for _ in range(sum(map(len, runs)))]))
 
 
 def core_base_line(core_id: int) -> int:

@@ -2,9 +2,12 @@
 
 - The flat-array Alloy sets against a dict-based reference model.
 - Batched ``warm_many`` against per-line warmup for every controller.
+- Columnar warm sets: their install against a per-pair reference, and
+  their flag draws against the per-line generator they replaced.
 - Packed trace columns against the generator they were packed from.
 """
 
+import random
 import struct
 import sys
 
@@ -14,14 +17,20 @@ from hypothesis import strategies as st
 
 from repro.backends.base import PackedTrace, SimBackend, TraceStore
 from repro.cache.alloy import AlloyCacheArray
-from repro.experiments.common import SMOKE, scaled_config
+from repro.cache.sectored import SectoredCacheArray
+from repro.experiments.common import SMALL, SMOKE, scaled_config
 from repro.hierarchy.system import MiB, build_system
+from repro.workloads.columns import WarmSet
 from repro.workloads.mixes import Mix
 from repro.workloads.profiles import PROFILES
 from repro.workloads.synthetic import (
+    SECTOR_LINES,
+    _layout,
+    _seed_for,
     core_base_line,
     generate_trace,
     trace_chunks,
+    warm_lines,
 )
 
 
@@ -142,7 +151,9 @@ def test_alloy_array_matches_dict_model(ops):
 def test_alloy_warm_many_matches_fill(pairs):
     batched = AlloyCacheArray("alloy", capacity_bytes=_SETS * 64)
     per_line = AlloyCacheArray("alloy", capacity_bytes=_SETS * 64)
-    assert batched.warm_many(iter(pairs)) == len(pairs)
+    warm_set = WarmSet(tuple(range(line, line + 1) for line, _ in pairs),
+                       bytes(dirty for _, dirty in pairs))
+    assert batched.warm_many(iter([warm_set])) == len(pairs)
     for line, dirty in pairs:
         per_line.fill(line, dirty=dirty)
     assert batched._sets == per_line._sets
@@ -192,7 +203,8 @@ def _state(array):
 
 @pytest.mark.parametrize("kind", sorted(_GEOMETRY))
 def test_warm_many_matches_per_line_warmup(kind):
-    pairs = list(_MIX.warm_sets(SMOKE.footprint_scale))
+    pairs = [pair for warm_set in _MIX.warm_sets(SMOKE.footprint_scale)
+             for pair in warm_set]
     batched = _controller(kind)
     assert batched.warm_many(_MIX.warm_sets(SMOKE.footprint_scale)) == len(pairs)
 
@@ -212,7 +224,144 @@ def test_warm_many_matches_per_line_warmup(kind):
 
 
 # ----------------------------------------------------------------------
-# (c) Packed trace columns
+# (c) Columnar warm sets
+# ----------------------------------------------------------------------
+
+def _reference_install(array, warm_sets):
+    """Install the ``(line, dirty)`` pairs one at a time: the sectored
+    primitives, or the Alloy fill path."""
+    for warm_set in warm_sets:
+        for line, dirty in warm_set:
+            if isinstance(array, AlloyCacheArray):
+                array.fill(line, dirty=dirty)
+            else:
+                _install_per_line(array, line, dirty)
+
+
+def _full_state(array):
+    """Everything a warm install may change, in insertion order."""
+    if isinstance(array, AlloyCacheArray):
+        return _state(array)
+    return ([(idx, [(sid, s.valid, s.dirty, s.touched, s.stamp)
+                    for sid, s in ways.items()])
+             for idx, ways in array._sets.items()],
+            sorted(array._disabled), array.sector_allocations,
+            array.sector_evictions, array.reads, array.writes)
+
+
+# One run: (start, step, length). Steps cover a sector at a time (1),
+# strides within a sector (2, 16), one line per 4 KB region (64), odd
+# strides that straddle sectors, and a descending run.
+_run = st.tuples(st.integers(0, 400),
+                 st.sampled_from([1, 1, 2, 3, 5, 16, 63, 64, 65, -1]),
+                 st.integers(0, 150))
+
+
+@st.composite
+def _warm_sets(draw):
+    warm_sets = []
+    for runs in draw(st.lists(st.lists(_run, max_size=4), min_size=1,
+                              max_size=3)):
+        ranges = tuple(
+            range(start + length, start, -1) if step < 0
+            else range(start, start + step * length, step)
+            for start, step, length in runs)
+        flags = draw(st.binary(min_size=sum(map(len, ranges)),
+                               max_size=sum(map(len, ranges))))
+        warm_sets.append(WarmSet(ranges, bytes(b & 1 for b in flags)))
+    return warm_sets
+
+
+# Pre-population ops applied to both arrays before the warm install.
+_prep = st.lists(st.tuples(st.sampled_from(["fill", "dirty", "read",
+                                            "write"]),
+                           st.integers(0, 1200)), max_size=20)
+
+
+def _prepare(array, ops, disabled):
+    for op, line in ops:
+        if isinstance(array, AlloyCacheArray):
+            if op in ("fill", "dirty"):
+                array.fill(line, dirty=op == "dirty")
+            else:
+                getattr(array, op)(line)
+        elif op in ("fill", "dirty"):
+            _install_per_line(array, line, op == "dirty")
+        else:
+            getattr(array, op)(line)
+    for index in disabled:
+        if not isinstance(array, AlloyCacheArray):
+            array.disable_set(index % array.num_sets)
+
+
+@given(kind=st.sampled_from(["alloy", 1, 3, 16, 64]),
+       sets_and_ways=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       prep=_prep, disabled=st.lists(st.integers(0, 2), max_size=2),
+       warm_sets=_warm_sets())
+# A dirty run crossing an unaligned 3-block sector boundary, then a
+# clean refill of the same lines (the dirty bits must survive).
+@example(kind=3, sets_and_ways=(1, 1), prep=[], disabled=[],
+         warm_sets=[WarmSet((range(2, 7),), b"\1\0\1\1\1"),
+                    WarmSet((range(4, 6),), b"\0\0")])
+@settings(max_examples=300, deadline=None)
+def test_warm_set_install_matches_per_pair_install(kind, sets_and_ways, prep,
+                                                    disabled, warm_sets):
+    num_sets, assoc = sets_and_ways
+
+    def make():
+        if kind == "alloy":
+            return AlloyCacheArray("alloy", capacity_bytes=num_sets * 64)
+        return SectoredCacheArray("warm", num_sets * assoc * kind * 64,
+                                  assoc=assoc, sector_bytes=kind * 64)
+
+    columnar, reference = make(), make()
+    for array in (columnar, reference):
+        _prepare(array, prep, disabled)
+    assert columnar.warm_many(iter(warm_sets)) == \
+        sum(map(len, warm_sets))
+    _reference_install(reference, warm_sets)
+    assert _full_state(columnar) == _full_state(reference)
+
+
+def _per_line_warm_lines(profile, base_line=0, scale=1.0, seed=0):
+    """The per-line warm-set generator ``warm_lines`` replaced, kept as
+    the reference for its draws."""
+    rng = random.Random(_seed_for(profile, seed) ^ 0x5A5A5A5A)
+    regions = _layout(profile, scale)
+    wf = profile.write_fraction
+    rand = rng.random
+    if profile.mix.stream > 0:
+        for line in range(base_line, base_line + regions.stream_lines):
+            yield line, rand() < wf
+    if profile.mix.hot > 0:
+        for line in range(base_line + regions.hot_base,
+                          base_line + regions.hot_base + regions.hot_lines):
+            yield line, rand() < wf
+    sparse_start = base_line + regions.sparse_base
+    for region in range(regions.sparse_regions):
+        yield sparse_start + region * SECTOR_LINES, rand() < wf
+
+
+@pytest.mark.parametrize("scale", [SMOKE, SMALL], ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_warm_lines_draws_match_the_per_line_generator(name, seed, scale):
+    kwargs = dict(base_line=core_base_line(seed),
+                  scale=scale.footprint_scale, seed=seed)
+    warm_set = warm_lines(PROFILES[name], **kwargs)
+    expected = list(_per_line_warm_lines(PROFILES[name], **kwargs))
+    assert len(warm_set) == len(expected)
+    assert list(warm_set) == expected
+    assert all(type(dirty) is bool for _, dirty in warm_set)
+
+
+def test_warm_set_rejects_a_flag_column_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        WarmSet((range(0, 4), range(64, 128, 64)), b"\0" * 4)
+
+
+# ----------------------------------------------------------------------
+# (d) Packed trace columns
 # ----------------------------------------------------------------------
 
 _REFS = 2_000

@@ -18,7 +18,7 @@ from repro.engine.event_queue import Simulator
 from repro.hierarchy.cpu_core import TraceCore
 from repro.mem.channel import ChannelStats, DramChannel, _Bank
 from repro.mem.request import Request
-from repro.workloads.columns import PackedTrace
+from repro.workloads.columns import PackedTrace, WarmSet
 
 HOT_PATH_CLASSES = [
     Simulator,
@@ -38,6 +38,8 @@ HOT_PATH_CLASSES = [
     TraceStore,
     SimBackend,
     PackedTrace,
+    # Warmup: one warm set per core per cell.
+    WarmSet,
 ]
 
 

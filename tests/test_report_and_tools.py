@@ -161,8 +161,7 @@ def test_run_report_sections():
                         l3_bytes=256 * 1024),
     )
     system = build_system(config, mix.traces(refs_per_core=2500, scale=1 / 64))
-    for line, dirty in mix.warm_sets(1 / 64):
-        system.msc.warm_line(line, dirty)
+    system.msc.warm_many(mix.warm_sets(1 / 64))
     system.run()
     report = run_report(system)
     assert "run report" in report

@@ -25,9 +25,7 @@ def run_tiny(policy="baseline", workload="mcf", **overrides):
     mix = rate_mix(workload)
     system = build(tiny_config(policy, **overrides),
                    mix.traces(refs_per_core=REFS, scale=1 / 64))
-    warm = system.msc.warm_line
-    for line, dirty in mix.warm_sets(1 / 64):
-        warm(line, dirty)
+    system.msc.warm_many(mix.warm_sets(1 / 64))
     system.run()
     return collect_result(system)
 
@@ -105,6 +103,32 @@ def test_core_without_progress_rejected(field, value):
     with pytest.raises(ConfigError, match=rf"{field} must be at least 1, "
                                           rf"got {value}"):
         SystemConfig(**{field: value})
+
+
+# (SystemConfig field, value, the array parameter the error names).
+_BAD_GEOMETRY = [
+    ("msc_capacity_bytes", -(1 << 20), "capacity_bytes"),
+    ("msc_capacity_bytes", 0, "capacity_bytes"),
+    ("msc_assoc", 0, "assoc"),
+    ("msc_assoc", -4, "assoc"),
+    ("sector_bytes", 0, "sector_bytes"),
+    ("sector_bytes", -4096, "sector_bytes"),
+]
+
+
+@pytest.mark.parametrize("kind", ["sectored", "alloy", "edram"])
+@pytest.mark.parametrize("field, value, param", _BAD_GEOMETRY)
+def test_impossible_msc_geometry_rejected(kind, field, value, param):
+    # Such a cache has no sets: a negative capacity used to run on a
+    # negative set count, and a zero divided by zero.
+    config = tiny_config(msc_kind=kind, num_cores=1, **{field: value})
+    if kind == "alloy" and param != "capacity_bytes":
+        # Alloy is direct-mapped with 64-byte blocks and reads neither.
+        assert build(config, [()]).msc.array.num_sets > 0
+        return
+    with pytest.raises(ConfigError,
+                       match=rf"{param} must be positive, not {value}$"):
+        build(config, [()])
 
 
 def test_config_key_stability():

@@ -81,8 +81,7 @@ def test_full_system_run_with_dap_ta():
                         l3_bytes=256 * 1024),
     )
     system = build_system(config, mix.traces(refs_per_core=3000, scale=1 / 64))
-    for line, dirty in mix.warm_sets(1 / 64):
-        system.msc.warm_line(line, dirty)
+    system.msc.warm_many(mix.warm_sets(1 / 64))
     system.run()
     result = collect_result(system)
     assert result.cycles > 0
