@@ -26,24 +26,30 @@ Subpackages:
 - :mod:`repro.experiments` — one module per paper table/figure.
 """
 
-from repro.hierarchy.system import System, SystemConfig, build_system
-from repro.metrics.stats import RunResult, collect_result
-from repro.metrics.speedup import (
-    geomean,
-    normalized_weighted_speedup,
-    weighted_speedup,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "System",
-    "SystemConfig",
-    "build_system",
-    "RunResult",
-    "collect_result",
-    "weighted_speedup",
-    "normalized_weighted_speedup",
-    "geomean",
-    "__version__",
-]
+#: The quickstart names, each resolved from its module on first use
+#: (PEP 562), so ``import repro`` loads no simulator code.
+_LAZY = {
+    "System": "repro.hierarchy.system",
+    "SystemConfig": "repro.hierarchy.config",
+    "build_system": "repro.hierarchy.system",
+    "RunResult": "repro.metrics.stats",
+    "collect_result": "repro.metrics.stats",
+    "weighted_speedup": "repro.metrics.speedup",
+    "normalized_weighted_speedup": "repro.metrics.speedup",
+    "geomean": "repro.metrics.speedup",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -5,7 +5,7 @@ simulation service, scripts, notebooks — drives experiments through
 these three calls instead of importing runner/engine internals:
 
 - :func:`run_experiment` executes one registered experiment and returns
-  its rendered :class:`~repro.experiments.common.ExperimentResult`;
+  its rendered :class:`~repro.experiments.scale.ExperimentResult`;
 - :func:`run_cells` executes a hand-built cell list through the same
   cached, parallel engine;
 - :func:`submit` enqueues an :class:`ExperimentRequest` on a persistent
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.experiments.cellcache import CellCache, ExecStats, default_cache_dir
-from repro.experiments.common import ExperimentResult
+from repro.experiments.scale import ExperimentResult
 from repro.experiments.exec import (
     AloneIpcCell,
     Cell,

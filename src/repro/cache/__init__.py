@@ -17,24 +17,3 @@ Functional (state-only) models of every cache structure the paper uses:
 Timing (who pays which DRAM access for what) lives in the controllers
 under :mod:`repro.hierarchy`.
 """
-
-from repro.cache.replacement import LRUPolicy, NRUPolicy, make_policy
-from repro.cache.sram_cache import SRAMCache
-from repro.cache.sectored import SectoredCacheArray, SectorProbe
-from repro.cache.tag_cache import TagCache
-from repro.cache.alloy import AlloyCacheArray
-from repro.cache.dbc import DirtyBitCache
-from repro.cache.footprint import FootprintPredictor
-
-__all__ = [
-    "LRUPolicy",
-    "NRUPolicy",
-    "make_policy",
-    "SRAMCache",
-    "SectoredCacheArray",
-    "SectorProbe",
-    "TagCache",
-    "AlloyCacheArray",
-    "DirtyBitCache",
-    "FootprintPredictor",
-]

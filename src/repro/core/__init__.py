@@ -15,41 +15,3 @@
 The window/credit engine that runs these solves is
 :class:`repro.policies.dap.DapPolicy`.
 """
-
-from repro.core.bandwidth_model import (
-    delivered_bandwidth,
-    max_delivered_bandwidth,
-    optimal_fractions,
-    optimal_mm_cas_fraction,
-    analytic_dram_cache_read_bw,
-    analytic_edram_cache_read_bw,
-)
-from repro.core.credits import CreditCounter, approximate_k
-from repro.core.window import WindowStats, EdramWindowStats
-from repro.core.dap import (
-    AlloyTargets,
-    EdramTargets,
-    SectoredTargets,
-    solve_alloy,
-    solve_edram,
-    solve_sectored,
-)
-
-__all__ = [
-    "delivered_bandwidth",
-    "max_delivered_bandwidth",
-    "optimal_fractions",
-    "optimal_mm_cas_fraction",
-    "analytic_dram_cache_read_bw",
-    "analytic_edram_cache_read_bw",
-    "CreditCounter",
-    "approximate_k",
-    "WindowStats",
-    "EdramWindowStats",
-    "SectoredTargets",
-    "AlloyTargets",
-    "EdramTargets",
-    "solve_sectored",
-    "solve_alloy",
-    "solve_edram",
-]

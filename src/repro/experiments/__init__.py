@@ -2,12 +2,12 @@
 
 Every experiment module exposes ``run(scale: Scale) -> ExperimentResult``
 and can be executed standalone (``python -m repro.experiments.fig06_dap_speedup``)
-or through :mod:`repro.experiments.runner`. The :class:`~repro.experiments.common.Scale`
+or through :mod:`repro.experiments.runner`. The :class:`~repro.experiments.scale.Scale`
 controls trace lengths and capacity scaling — never model fidelity — so
 the same code produces CI-speed smoke results and paper-scale sweeps.
 """
 
-from repro.experiments.common import (
+from repro.experiments.scale import (
     Scale,
     SMOKE,
     SMALL,

@@ -38,10 +38,15 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 #: Every source that can change a simulated result, relative to the
-#: ``repro`` package: the model trees, the cell runner and the result type.
+#: ``repro`` package: the model trees, the cell runners, the scales they
+#: read (``Scale.footprint_scale`` steers warmup), the modules hosting a
+#: ``TaskCell`` body (a task key holds only its name and kwargs) and the
+#: result type.
 _SIMULATION_SOURCES = (
     "engine", "core", "cache", "hierarchy", "mem", "policies", "workloads",
-    "backends", "flat", "experiments/common.py", "metrics/stats.py",
+    "backends", "flat", "experiments/common.py", "experiments/scale.py",
+    "experiments/fig01_bandwidth_vs_hitrate.py",
+    "experiments/ext_flat_memory.py", "metrics/stats.py",
 )
 
 

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Optional,
+                    Sequence, Union)
 
 from repro.backends.base import active_backend, reset_backend
 from repro.errors import ReproError
@@ -47,16 +46,12 @@ from repro.obs.spans import (
     emit_span,
     set_current_traceparent,
 )
-from repro.obs.telemetry import TelemetryConfig
-from repro.experiments.common import (
-    ExperimentResult,
-    Scale,
-    alone_ipc,
-    get_scale,
-    run_mix,
-)
-from repro.hierarchy.system import SystemConfig
-from repro.workloads.mixes import Mix
+from repro.experiments.scale import ExperimentResult, Scale, get_scale
+
+if TYPE_CHECKING:
+    from repro.hierarchy.config import SystemConfig
+    from repro.obs.telemetry import TelemetryConfig
+    from repro.workloads.mixes import Mix
 
 
 # Engine-side observability: settled-cell outcomes and execution-time
@@ -137,6 +132,9 @@ class MixCell:
                 self.seed, self.warm)
 
     def execute(self):
+        # The simulator loads when a cell runs, never to key or render one.
+        from repro.experiments.common import run_mix
+
         return run_mix(self.mix, self.config, self.scale, warm=self.warm,
                        telemetry=self.telemetry, label=self.label)
 
@@ -154,6 +152,8 @@ class AloneIpcCell:
         return alone_ipc_key_parts(self.profile, self.config, self.scale)
 
     def execute(self) -> float:
+        from repro.experiments.common import alone_ipc
+
         return alone_ipc(self.profile, self.config, self.scale)
 
 
@@ -422,6 +422,13 @@ def execute_cells(
     outcomes: dict = {}  # key -> (status, payload)
     if unique:
         if jobs > 1 and len(unique) > 1:
+            from concurrent.futures import (CancelledError,
+                                            ProcessPoolExecutor, as_completed)
+            from concurrent.futures.process import BrokenProcessPool
+
+            # Forked workers inherit the simulator instead of each
+            # compiling it again for every pool.
+            import repro.experiments.common  # noqa: F401
             cache_dir = str(cache.root) if cache is not None else None
             traceparent = current_traceparent()
             with ProcessPoolExecutor(

@@ -20,25 +20,29 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from repro.engine.event_queue import Simulator
-from repro.experiments.common import ExperimentResult, Scale
 from repro.experiments.exec import (
     CellResults,
     ExperimentSpec,
     TaskCell,
     run_spec,
 )
-from repro.flat.controller import FlatMemoryController
-from repro.flat.placement import PAGE_LINES, make_placement
+from repro.experiments.scale import ExperimentResult, Scale
 from repro.mem.configs import ddr4_2400, hbm_102
-from repro.mem.device import MemoryDevice
 
 POLICIES = ("first-touch", "bandwidth-interleave", "adaptive")
 
 
 def run_placement(policy_name: str, total_reads: int, outstanding: int = 192,
                   working_pages: int = 512, seed: int = 7) -> dict[str, float]:
-    """Worker entry: measure one placement policy (a TaskCell body)."""
+    """Worker entry: measure one placement policy (a TaskCell body).
+
+    Imports the simulator itself, so keying and rendering load none of it.
+    """
+    from repro.engine.event_queue import Simulator
+    from repro.flat.controller import FlatMemoryController
+    from repro.flat.placement import PAGE_LINES, make_placement
+    from repro.mem.device import MemoryDevice
+
     sim = Simulator()
     fast = MemoryDevice(sim, hbm_102())
     slow = MemoryDevice(sim, ddr4_2400())

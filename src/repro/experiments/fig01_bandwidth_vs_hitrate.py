@@ -17,30 +17,29 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.cache.sectored import SectoredCacheArray
-from repro.cache.tag_cache import TagCache
 from repro.core.bandwidth_model import (
     analytic_dram_cache_read_bw,
     analytic_edram_cache_read_bw,
 )
-from repro.experiments.common import ExperimentResult, Scale
 from repro.experiments.exec import (
     CellResults,
     ExperimentSpec,
     TaskCell,
     run_spec,
 )
-from repro.hierarchy.msc_edram import EdramMscController
-from repro.hierarchy.msc_sectored import SectoredMscController
+from repro.experiments.scale import ExperimentResult, Scale
 from repro.mem.configs import ddr4_2400, edram_channels, hbm_102
-from repro.mem.device import MemoryDevice
-from repro.workloads.kernels import run_read_kernel
 
 HIT_RATES = (0.0, 0.25, 0.50, 0.70, 0.90, 1.00)
 KERNEL_CAPACITY = 64 << 20
 
 
 def _dram_cache_factory(sim):
+    from repro.cache.sectored import SectoredCacheArray
+    from repro.cache.tag_cache import TagCache
+    from repro.hierarchy.msc_sectored import SectoredMscController
+    from repro.mem.device import MemoryDevice
+
     cache_dev = MemoryDevice(sim, hbm_102())
     mm_dev = MemoryDevice(sim, ddr4_2400())
     array = SectoredCacheArray("l4", KERNEL_CAPACITY, assoc=4, sector_bytes=4096)
@@ -49,6 +48,10 @@ def _dram_cache_factory(sim):
 
 
 def _edram_factory(sim):
+    from repro.cache.sectored import SectoredCacheArray
+    from repro.hierarchy.msc_edram import EdramMscController
+    from repro.mem.device import MemoryDevice
+
     read_dev = MemoryDevice(sim, edram_channels("read"))
     write_dev = MemoryDevice(sim, edram_channels("write"))
     mm_dev = MemoryDevice(sim, ddr4_2400())
@@ -61,7 +64,13 @@ _FACTORIES = {"dram": _dram_cache_factory, "edram": _edram_factory}
 
 
 def kernel_cell(kind: str, hit_rate: float, total_reads: int):
-    """Worker entry: one read-kernel measurement (a TaskCell body)."""
+    """Worker entry: one read-kernel measurement (a TaskCell body).
+
+    It and the factories import the simulator when they run, so keying
+    and rendering Fig. 1 load none of it.
+    """
+    from repro.workloads.kernels import run_read_kernel
+
     return run_read_kernel(_FACTORIES[kind], hit_rate,
                            total_reads=total_reads)
 

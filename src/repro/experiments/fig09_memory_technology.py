@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, Scale, scaled_config
 from repro.experiments.exec import (
     CellResults,
     ExperimentSpec,
     MixCell,
     run_spec,
 )
+from repro.experiments.scale import ExperimentResult, Scale, scaled_config
 from repro.mem.configs import ddr4_2400, ddr4_2400_no_io, ddr4_3200, lpddr4_2400
 from repro.metrics.speedup import geomean, normalized_weighted_speedup
 from repro.workloads.mixes import rate_mix

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.experiments.common import ExperimentResult, Scale, scaled_config
 from repro.experiments.exec import (
     AloneIpcCell,
     CellResults,
@@ -23,6 +22,7 @@ from repro.experiments.exec import (
     MixCell,
     run_spec,
 )
+from repro.experiments.scale import ExperimentResult, Scale, scaled_config
 from repro.metrics.speedup import geomean, normalized_weighted_speedup
 from repro.workloads.mixes import Mix, all_mixes
 

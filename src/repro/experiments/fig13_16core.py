@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, Scale, scaled_config
 from repro.experiments.exec import (
     CellResults,
     ExperimentSpec,
     MixCell,
     run_spec,
 )
-from repro.hierarchy.system import GiB
+from repro.experiments.scale import ExperimentResult, Scale, scaled_config
+from repro.hierarchy.config import GiB
 from repro.mem.configs import ddr4_3200, hbm_204
 from repro.metrics.speedup import geomean, normalized_weighted_speedup
 from repro.workloads.mixes import rate_mix

@@ -15,13 +15,13 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.core.bandwidth_model import optimal_mm_cas_fraction
-from repro.experiments.common import ExperimentResult, Scale, scaled_config
 from repro.experiments.exec import (
     CellResults,
     ExperimentSpec,
     MixCell,
     run_spec,
 )
+from repro.experiments.scale import ExperimentResult, Scale, scaled_config
 from repro.metrics.speedup import geomean, normalized_weighted_speedup
 from repro.workloads.mixes import rate_mix
 from repro.workloads.profiles import BANDWIDTH_SENSITIVE

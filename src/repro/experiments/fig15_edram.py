@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from repro.experiments.common import ExperimentResult, Scale
 from repro.experiments.exec import (
     CellResults,
     ExperimentSpec,
@@ -21,6 +20,7 @@ from repro.experiments.exec import (
     run_spec,
 )
 from repro.experiments.fig02_edram_capacity import edram_config
+from repro.experiments.scale import ExperimentResult, Scale
 from repro.metrics.speedup import geomean, normalized_weighted_speedup
 from repro.workloads.mixes import rate_mix
 from repro.workloads.profiles import BANDWIDTH_SENSITIVE

@@ -41,13 +41,6 @@ from repro.experiments.cellcache import (
 from repro.experiments.registry import EXPERIMENTS, get_spec, iter_specs
 from repro.metrics.charts import chart_result
 from repro.obs.telemetry import DEFAULT_PROBE_INTERVAL, TelemetryConfig
-from repro.validate.evaluate import (
-    build_validation,
-    doc_failed,
-    evaluate_result,
-    failed_entry,
-)
-from repro.validate.report import render_summary_line, write_validation
 
 DEFAULT_TRACE_DIR = ".repro-traces"
 
@@ -120,6 +113,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if not args.experiments:
         parser.error("no experiments given (or use --list)")
+    if args.validate:
+        # The claim machinery loads only for a run that judges claims.
+        from repro.validate.evaluate import (
+            build_validation,
+            doc_failed,
+            evaluate_result,
+            failed_entry,
+        )
+        from repro.validate.report import render_summary_line, write_validation
 
     cache = None if args.no_cache else CellCache(
         args.cache_dir or default_cache_dir())

@@ -13,19 +13,3 @@ policy decides which pages live in it.
 - :mod:`repro.flat.controller` — the flat-memory controller that routes
   requests by placement and charges migration traffic.
 """
-
-from repro.flat.placement import (
-    PagePlacement,
-    FirstTouchPlacement,
-    BandwidthInterleavePlacement,
-    AdaptiveMigrationPlacement,
-)
-from repro.flat.controller import FlatMemoryController
-
-__all__ = [
-    "PagePlacement",
-    "FirstTouchPlacement",
-    "BandwidthInterleavePlacement",
-    "AdaptiveMigrationPlacement",
-    "FlatMemoryController",
-]

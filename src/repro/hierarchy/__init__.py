@@ -1,5 +1,7 @@
 """System assembly: cores, SRAM hierarchy, memory-side cache controllers.
 
+- :mod:`repro.hierarchy.config` — :class:`SystemConfig` and
+  :class:`SramLevels`, plain data that loads no simulator code;
 - :mod:`repro.hierarchy.msc_base` — controller base (stats + policy
   services);
 - :mod:`repro.hierarchy.msc_sectored` — sectored DRAM cache controller
@@ -11,28 +13,9 @@
 - :mod:`repro.hierarchy.cpu_core` — trace-driven ROB/MSHR core model;
 - :mod:`repro.hierarchy.cache_hierarchy` — L1/L2/L3 with stride
   prefetching and writeback plumbing;
-- :mod:`repro.hierarchy.system` — configuration plus the top-level
-  :class:`~repro.hierarchy.system.System` runner.
+- :mod:`repro.hierarchy.system` — :func:`build_system` and the
+  top-level :class:`~repro.hierarchy.system.System` runner.
+
+The package imports none of its submodules: loading the simulator is
+left to whoever runs a cell.
 """
-
-from repro.hierarchy.msc_base import MscController, MscStats
-from repro.hierarchy.msc_sectored import SectoredMscController
-from repro.hierarchy.msc_alloy import AlloyMscController
-from repro.hierarchy.msc_edram import EdramMscController
-from repro.hierarchy.cpu_core import TraceCore
-from repro.hierarchy.cache_hierarchy import CacheHierarchy, SramLevels
-from repro.hierarchy.system import System, SystemConfig, build_system
-
-__all__ = [
-    "MscController",
-    "MscStats",
-    "SectoredMscController",
-    "AlloyMscController",
-    "EdramMscController",
-    "TraceCore",
-    "CacheHierarchy",
-    "SramLevels",
-    "System",
-    "SystemConfig",
-    "build_system",
-]

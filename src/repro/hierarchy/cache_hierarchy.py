@@ -13,30 +13,15 @@ into L3, and a dirty L3 victim becomes a memory-side cache write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.cache.sram_cache import _ABSENT, SRAMCache
 from repro.engine.event_queue import Simulator
+from repro.hierarchy.config import SramLevels
 from repro.hierarchy.msc_base import MscController
 from repro.mem.request import AccessKind
 
 FillCallback = Callable[[int], None]
-
-
-@dataclass(frozen=True)
-class SramLevels:
-    """Geometry/latency of the three SRAM levels."""
-
-    l1_bytes: int = 32 * 1024
-    l1_assoc: int = 8
-    l1_latency: int = 3
-    l2_bytes: int = 256 * 1024
-    l2_assoc: int = 8
-    l2_latency: int = 11
-    l3_bytes: int = 8 * 1024 * 1024
-    l3_assoc: int = 16
-    l3_latency: int = 20
 
 
 class StridePrefetcher:

@@ -1,17 +1,15 @@
 """Full-system assembly and run loop.
 
-:class:`SystemConfig` captures everything the paper varies (core count,
-memory-side cache kind/capacity/bandwidth, main-memory technology,
-policy, DAP parameters); :func:`build_system` wires devices, arrays,
-policy and cores together; :class:`System` runs the traces to completion
-and exposes the raw components for metric collection.
+:func:`build_system` wires devices, arrays, policy and cores together
+for a :class:`~repro.hierarchy.config.SystemConfig` (re-exported here);
+:class:`System` runs the traces to completion and exposes the raw
+components for metric collection. Importing this module loads every
+controller and steering policy.
 """
 
 from __future__ import annotations
 
 import gc
-
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from repro.cache.alloy import AlloyCacheArray
@@ -22,13 +20,15 @@ from repro.cache.tag_cache import TagCache
 from repro.engine.clock import accesses_per_cpu_cycle
 from repro.engine.event_queue import Simulator
 from repro.errors import ConfigError
-from repro.hierarchy.cache_hierarchy import CacheHierarchy, SramLevels
+from repro.hierarchy.cache_hierarchy import CacheHierarchy
+# GiB, MiB and POLICY_NAMES are re-exported for existing importers.
+from repro.hierarchy.config import GiB, MiB, POLICY_NAMES, SystemConfig  # noqa: F401
 from repro.hierarchy.cpu_core import TraceCore, TraceEntry
 from repro.hierarchy.msc_alloy import AlloyMscController
 from repro.hierarchy.msc_base import MscController
 from repro.hierarchy.msc_edram import EdramMscController
 from repro.hierarchy.msc_sectored import SectoredMscController
-from repro.mem.configs import DramConfig, ddr4_2400, edram_channels, hbm_102
+from repro.mem.configs import edram_channels
 from repro.mem.device import MemoryDevice
 from repro.policies.banshee import BansheePolicy
 from repro.policies.base import BaselinePolicy, SteeringPolicy
@@ -39,73 +39,6 @@ from repro.policies.dap import (DapAlloyPolicy, DapEdramPolicy,
                                 DapSectoredPolicy, ThreadAwareDapPolicy)
 from repro.policies.sbd import SbdPolicy
 from repro.policies.tuntu import TuntuPolicy
-
-GiB = 1 << 30
-MiB = 1 << 20
-
-POLICY_NAMES = (
-    "baseline", "dap", "dap-ta", "dap-fwb", "dap-fwb-wb", "dap-no-sfrm",
-    "sbd", "sbd-wt", "batman", "bear",
-    "banshee", "banshee-always", "tuntu", "cbp",
-)
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """One evaluated platform (defaults = the paper's Section V system)."""
-
-    num_cores: int = 8
-    cpu_ghz: float = 4.0
-    # Memory-side cache.
-    msc_kind: str = "sectored"              # sectored | alloy | edram
-    msc_capacity_bytes: int = 4 * GiB
-    msc_assoc: int = 4
-    sector_bytes: int = 4096
-    msc_dram: DramConfig = field(default_factory=hbm_102)
-    use_tag_cache: bool = True
-    use_footprint: bool = True
-    # Main memory.
-    mm_dram: DramConfig = field(default_factory=ddr4_2400)
-    # SRAM metadata structures (scaled alongside the cache capacity).
-    tag_cache_entries: int = 32 * 1024
-    dbc_entries: int = 32 * 1024
-    footprint_entries: int = 64 * 1024
-    # Steering policy.
-    policy: str = "baseline"
-    dap_window: int = 64
-    dap_efficiency: float = 0.75
-    # SRAM hierarchy and cores.
-    sram: SramLevels = field(default_factory=SramLevels)
-    enable_prefetch: bool = True
-    rob_entries: int = 224
-    width: int = 4
-    mshrs: int = 16
-
-    def __post_init__(self) -> None:
-        if self.msc_kind not in ("sectored", "alloy", "edram"):
-            raise ConfigError(f"unknown msc_kind {self.msc_kind!r}")
-        if self.policy not in POLICY_NAMES:
-            raise ConfigError(
-                f"unknown policy {self.policy!r}; expected one of {POLICY_NAMES}"
-            )
-        if self.num_cores <= 0:
-            raise ConfigError("num_cores must be positive")
-        # A core with no ROB entry, dispatch slot or MSHR cannot make
-        # progress: it would "finish" having run nothing.
-        for name in ("rob_entries", "width", "mshrs"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
-
-    def with_policy(self, policy: str) -> "SystemConfig":
-        return replace(self, policy=policy)
-
-    def key(self) -> str:
-        """Stable identity for memoizing per-workload alone-run IPCs."""
-        return (
-            f"{self.msc_kind}/{self.msc_capacity_bytes}/{self.msc_dram.name}/"
-            f"{self.mm_dram.name}/{self.sram.l3_bytes}/pf{self.enable_prefetch}"
-        )
 
 
 def _make_policy(config: SystemConfig, b_ms: float, b_mm: float) -> SteeringPolicy:

@@ -6,36 +6,3 @@ penalties, and an optional fixed I/O delay (used for the off-package DDR
 main memory). Devices are built from :class:`repro.mem.configs.DramConfig`
 presets matching the paper's evaluation platforms.
 """
-
-from repro.mem.request import AccessKind, Request
-from repro.mem.timing import DramTiming
-from repro.mem.channel import DramChannel
-from repro.mem.device import MemoryDevice
-from repro.mem.configs import (
-    DramConfig,
-    ddr4_2400,
-    ddr4_2400_no_io,
-    ddr4_3200,
-    lpddr4_2400,
-    hbm_102,
-    hbm_128,
-    hbm_204,
-    edram_channels,
-)
-
-__all__ = [
-    "AccessKind",
-    "Request",
-    "DramTiming",
-    "DramChannel",
-    "MemoryDevice",
-    "DramConfig",
-    "ddr4_2400",
-    "ddr4_2400_no_io",
-    "ddr4_3200",
-    "lpddr4_2400",
-    "hbm_102",
-    "hbm_128",
-    "hbm_204",
-    "edram_channels",
-]

@@ -309,9 +309,14 @@ class DramChannel:
     def _pick_request(self, queue: Deque[Request]) -> Request:
         """FR-FCFS-lite: pick the request that can deliver data soonest.
 
-        Scans a small window: an open-row hit wins immediately; otherwise
-        the request whose bank frees earliest is chosen, so a bank-blocked
-        head of line does not idle the data bus.
+        Scans the first ``frfcfs_window`` requests and computes, for each,
+        the cycle its data would be ready: the later of its issue cycle
+        and its bank's free cycle, plus the row-hit latency on an open
+        row or, on a miss, the activate-gated (tRAS) row-miss latency.
+        The earliest ready cycle wins, the oldest request on a tie. A row
+        hit is not preferred as such: one on a busy bank can lose to a
+        miss on an idle bank. So a bank-blocked head of line does not
+        idle the data bus.
         """
         limit = min(self.frfcfs_window, len(queue))
         if limit == 1:

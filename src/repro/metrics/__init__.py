@@ -1,16 +1,1 @@
 """Metrics: run results, weighted speedup, CAS fractions."""
-
-from repro.metrics.stats import RunResult, collect_result
-from repro.metrics.speedup import (
-    weighted_speedup,
-    normalized_weighted_speedup,
-    geomean,
-)
-
-__all__ = [
-    "RunResult",
-    "collect_result",
-    "weighted_speedup",
-    "normalized_weighted_speedup",
-    "geomean",
-]

@@ -1,7 +1,7 @@
 """Terminal bar charts for experiment results.
 
 The paper's artifacts are bar charts; this module renders an
-:class:`~repro.experiments.common.ExperimentResult` column as horizontal
+:class:`~repro.experiments.scale.ExperimentResult` column as horizontal
 ASCII bars so `repro experiment --chart` output reads like the figure it
 reproduces.
 """

@@ -7,11 +7,13 @@ to the numbers the paper's tables and figures report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.hierarchy.system import System
 from repro.mem.request import AccessKind
-from repro.policies.dap import DapPolicy
+
+if TYPE_CHECKING:
+    # Decoding a cached RunResult must not load the simulator.
+    from repro.hierarchy.system import System
 
 
 @dataclass
@@ -75,6 +77,8 @@ def _delivered_gbps(system: System) -> float:
 
 def collect_result(system: System) -> RunResult:
     """Summarize a completed run."""
+    from repro.policies.dap import DapPolicy
+
     msc = system.msc
     hierarchy = system.hierarchy
     cores = system.cores

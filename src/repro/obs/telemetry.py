@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.engine.event_queue import Simulator
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.engine.event_queue import Simulator
 
 Probe = Callable[[], float]
 

@@ -21,29 +21,3 @@ between the cache and main memory. Implementations:
 - :mod:`repro.policies.cbp` — CBP-style bandwidth-pressure prefetch
   throttling for the stride prefetcher.
 """
-
-from repro.policies.base import SteeringPolicy, BaselinePolicy
-from repro.policies.dap import (DapPolicy, DapSectoredPolicy, DapAlloyPolicy,
-                                DapEdramPolicy, ThreadAwareDapPolicy)
-from repro.policies.sbd import SbdPolicy
-from repro.policies.batman import BatmanPolicy
-from repro.policies.bear import BearFillPolicy
-from repro.policies.banshee import BansheePolicy
-from repro.policies.tuntu import TuntuPolicy
-from repro.policies.cbp import CbpPolicy
-
-__all__ = [
-    "SteeringPolicy",
-    "BaselinePolicy",
-    "DapPolicy",
-    "DapSectoredPolicy",
-    "DapAlloyPolicy",
-    "DapEdramPolicy",
-    "ThreadAwareDapPolicy",
-    "SbdPolicy",
-    "BatmanPolicy",
-    "BearFillPolicy",
-    "BansheePolicy",
-    "TuntuPolicy",
-    "CbpPolicy",
-]

@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.engine.event_queue import Simulator
 from repro.errors import WorkloadError
-from repro.hierarchy.msc_base import MscController
+
+if TYPE_CHECKING:
+    # Decoding a cached KernelResult must not load the simulator.
+    from repro.engine.event_queue import Simulator
+    from repro.hierarchy.msc_base import MscController
 
 
 @dataclass
@@ -125,6 +129,8 @@ def run_read_kernel(
 ) -> KernelResult:
     """Build a fresh controller via ``controller_factory(sim)`` and
     measure delivered read bandwidth at the target hit rate."""
+    from repro.engine.event_queue import Simulator
+
     sim = Simulator()
     controller = controller_factory(sim)
     kernel = ReadKernel(

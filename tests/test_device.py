@@ -3,7 +3,8 @@
 import pytest
 
 from repro.engine import Simulator
-from repro.mem import MemoryDevice, ddr4_2400, hbm_102
+from repro.mem.configs import ddr4_2400, hbm_102
+from repro.mem.device import MemoryDevice
 from repro.mem.request import AccessKind, Request
 
 

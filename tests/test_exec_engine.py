@@ -26,7 +26,7 @@ from repro.experiments.exec import (
     execute_cells,
     run_spec,
 )
-from repro.experiments.registry import get_spec
+from repro.experiments.registry import EXPERIMENTS, get_spec
 from repro.metrics.stats import RunResult
 from repro.workloads.mixes import rate_mix
 
@@ -78,12 +78,33 @@ def test_code_version_is_derived_from_the_package_sources(tmp_path):
 @pytest.mark.parametrize("source", [
     "mem/timing.py", "hierarchy/msc_sectored.py", "policies/dap.py",
     "flat/controller.py", "backends/base.py", "experiments/common.py",
-    "metrics/stats.py",
+    "metrics/stats.py", "hierarchy/config.py", "experiments/scale.py",
+    "experiments/fig01_bandwidth_vs_hitrate.py",
+    "experiments/ext_flat_memory.py",
 ])
 def test_code_version_changes_with_a_simulation_source(tmp_path, source):
     copy = _package_copy(tmp_path)
     _flip_first_byte(copy / source)
     assert code_version(copy) != CODE_VERSION
+
+
+def test_code_version_covers_every_task_cell_body(tmp_path):
+    # A TaskCell key holds only the body's name and kwargs, so the code
+    # computing the result must be in the salt.
+    modules = set()
+    for name in EXPERIMENTS:
+        spec = get_spec(name)
+        for cell in spec.cells(SMOKE, spec.resolve_workloads(None)):
+            if isinstance(cell, TaskCell):
+                modules.add(cell.fn.__module__)
+    assert modules  # Fig. 1 and the flat-memory extension have some
+    copy = _package_copy(tmp_path)
+    for module in sorted(modules):
+        source = copy.joinpath(*module.split(".")[1:]).with_suffix(".py")
+        _flip_first_byte(source)
+        assert code_version(copy) != CODE_VERSION, module
+        _flip_first_byte(source)
+    assert code_version(copy) == CODE_VERSION
 
 
 def test_code_version_changes_when_a_simulation_file_is_added(tmp_path):
