@@ -185,14 +185,10 @@ class JobStatus:
     #: signal — a fully cache-served re-submission has executed == 0).
     executed_cells: int = 0
     cached_cells: int = 0
-    #: W3C trace context the job was submitted under (``POST /jobs``
-    #: accepts or mints one); follows the job into worker logs, cell
-    #: spans, run manifests, and SSE frames.
-    traceparent: Optional[str] = None
     #: Unix time of the owning worker's last sign of life (set on claim,
     #: refreshed on every per-cell progress update).  Lets the janitor
     #: recover jobs whose worker died *while the service is live*, and
-    #: lets /healthz/ready and `repro top` surface execution stalls.
+    #: lets /healthz/ready surface execution stalls.
     heartbeat: Optional[float] = None
 
     @property
@@ -333,23 +329,20 @@ def run_cells(
                          should_stop=should_stop, on_cell=on_cell)
 
 
-def submit(request: ExperimentRequest, store,
-           traceparent: Optional[str] = None) -> JobStatus:
+def submit(request: ExperimentRequest, store) -> JobStatus:
     """Enqueue a request on a job store; a service worker executes it.
 
     ``store`` is a :class:`repro.service.jobstore.JobStore` or a path
-    to its SQLite database.  ``traceparent`` (a W3C trace context
-    header value) tags the job for end-to-end correlation.  Returns
-    the queued :class:`JobStatus` immediately; poll
-    ``store.get(status.id)`` (or the service's ``GET /jobs/<id>``)
-    for completion.
+    to its SQLite database.  Returns the queued :class:`JobStatus`
+    immediately; poll ``store.get(status.id)`` (or the service's
+    ``GET /jobs/<id>``) for completion.
     """
     from repro.service.jobstore import JobStore
 
     if not isinstance(store, JobStore):
         store = JobStore(store)
     request.validate()
-    return store.submit(request, traceparent=traceparent)
+    return store.submit(request)
 
 
 def default_cache(cache_dir: Optional[str] = None) -> CellCache:

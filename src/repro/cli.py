@@ -1,13 +1,11 @@
 """``repro`` — the single command-line entry point.
 
-One command, six subcommands, each delegating to a subsystem CLI::
+One command, four subcommands, each delegating to a subsystem CLI::
 
     repro experiment fig06 --scale smoke     (experiment runner)
     repro analyze report .repro-traces       (offline trace analysis)
     repro validate run all                   (paper-shape claims)
     repro serve --port 8321                  (the job service)
-    repro top --url http://host:8321         (live service dashboard)
-    repro metrics --lint                     (scrape/lint /metrics)
 
 Global flags (before the subcommand) configure structured logging for
 every subsystem: ``repro --log-level debug --log-json serve ...``.
@@ -28,8 +26,6 @@ commands:
   analyze     offline trace analysis and run comparison
   validate    judge machine-checkable paper-shape claims
   serve       run the async job service (POST /jobs, SSE progress)
-  top         live terminal dashboard over a running service
-  metrics     fetch, snapshot, or lint a service's /metrics scrape
 
 global options:
   --log-level LEVEL   emit repro.* logs at LEVEL (debug/info/warning/...)
@@ -50,10 +46,6 @@ def _command_main(command: str) -> Callable[[Optional[Sequence[str]]], int]:
         from repro.validate.cli import main
     elif command == "serve":
         from repro.service.server import main
-    elif command == "top":
-        from repro.obs.top import top_main as main
-    elif command == "metrics":
-        from repro.obs.top import metrics_main as main
     else:
         raise KeyError(command)
     return main

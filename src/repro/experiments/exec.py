@@ -40,38 +40,12 @@ from repro.experiments.cellcache import (
     alone_ipc_key_parts,
     cell_key,
 )
-from repro.obs.metrics import REGISTRY
-from repro.obs.spans import (
-    current_traceparent,
-    emit_span,
-    set_current_traceparent,
-)
 from repro.experiments.scale import ExperimentResult, Scale, get_scale
 
 if TYPE_CHECKING:
     from repro.hierarchy.config import SystemConfig
     from repro.obs.telemetry import TelemetryConfig
     from repro.workloads.mixes import Mix
-
-
-# Engine-side observability: settled-cell outcomes and execution-time
-# distributions, at *cell* granularity — never inside the simulator's
-# per-event hot path, so simulation state and timing are untouched.
-CELLS_SETTLED = REGISTRY.counter(
-    "repro_cells_total",
-    "Simulation cells settled by the execution engine, by outcome",
-    ("status",))
-CELL_WALL_SECONDS = REGISTRY.histogram(
-    "repro_cell_wall_seconds",
-    "Wall-clock seconds per executed simulation cell")
-
-
-def _observe_cell(label: str, status: str, wall: float) -> None:
-    """Record one unique cell's settlement (metrics + optional span)."""
-    CELLS_SETTLED.labels(status=status).inc()
-    if status == "ok" and wall > 0:
-        CELL_WALL_SECONDS.observe(wall)
-        emit_span(f"cell/{label}", wall, status=status)
 
 
 class CellExecutionError(ReproError):
@@ -315,13 +289,7 @@ def _worker_init(cache_dir: Optional[str]) -> None:
     reset_backend()
 
 
-def _worker_run(cell: Cell, key: str, cache_dir: Optional[str],
-                traceparent: Optional[str] = None):
-    # Contextvars do not cross process boundaries; re-establish the
-    # submitting request's trace context so run manifests produced in
-    # pool workers stay correlated to it.
-    if traceparent is not None:
-        set_current_traceparent(traceparent)
+def _worker_run(cell: Cell, key: str, cache_dir: Optional[str]):
     cache = CellCache(cache_dir) if cache_dir else None
     return _execute_one(cell, key, cache)
 
@@ -392,14 +360,12 @@ def execute_cells(
             results[cell.label] = cellcache.decode_result(entry["result"])
             stats.cache_hits += 1
             done += 1
-            CELLS_SETTLED.labels(status="cached").inc()
             if on_cell is not None:
                 on_cell(cell.label, "cached", done, total)
         elif entry is not None and entry.get("status") == "error" and not resume:
             errors[cell.label] = f"[recorded failure] {entry.get('error')}"
             stats.replayed_failures += 1
             done += 1
-            CELLS_SETTLED.labels(status="replayed-failure").inc()
             if on_cell is not None:
                 on_cell(cell.label, "replayed-failure", done, total)
         else:
@@ -410,6 +376,7 @@ def execute_cells(
     for cell in pending:
         by_key.setdefault(keys[cell.label], []).append(cell)
     unique = [group[0] for group in by_key.values()]
+    outcomes: dict = {}  # key -> (status, payload)
 
     def _settled(label: str, status: str) -> None:
         nonlocal done
@@ -419,7 +386,17 @@ def execute_cells(
             if on_cell is not None:
                 on_cell(twin.label, status, done, total)
 
-    outcomes: dict = {}  # key -> (status, payload)
+    def _outcome(label: str, status: str, payload, wall: float,
+                 traces: tuple[int, int]) -> None:
+        outcomes[keys[label]] = (status, payload)
+        stats.traces_generated += traces[0]
+        stats.traces_reused += traces[1]
+        if status == "ok":
+            stats.executed += 1
+            if wall > 0:
+                stats.profile.append(_profile_of(label, payload, wall))
+        _settled(label, status if status == "ok" else "error")
+
     if unique:
         if jobs > 1 and len(unique) > 1:
             from concurrent.futures import (CancelledError,
@@ -430,7 +407,6 @@ def execute_cells(
             # compiling it again for every pool.
             import repro.experiments.common  # noqa: F401
             cache_dir = str(cache.root) if cache is not None else None
-            traceparent = current_traceparent()
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(unique)),
                 initializer=_worker_init,
@@ -438,38 +414,25 @@ def execute_cells(
             ) as pool:
                 futures = {
                     pool.submit(_worker_run, cell, keys[cell.label],
-                                cache_dir, traceparent):
-                    cell
+                                cache_dir): cell
                     for cell in unique
                 }
                 for future in as_completed(futures):
                     cell = futures[future]
                     try:
-                        label, status, payload, wall, traces = (
-                            future.result())
+                        outcome = future.result()
                     except CancelledError:
                         continue  # never started; the sweep is stopping
                     except BrokenProcessPool:
-                        label, status, payload, wall, traces = (
+                        outcome = (
                             cell.label, "error",
                             "worker process crashed (killed or out of memory)",
                             0.0, (0, 0),
                         )
                     except Exception as exc:  # pool plumbing failure
-                        label, status, payload, wall, traces = (
-                            cell.label, "error",
-                            f"{type(exc).__name__}: {exc}", 0.0, (0, 0),
-                        )
-                    outcomes[keys[label]] = (status, payload)
-                    _observe_cell(label, status, wall)
-                    stats.traces_generated += traces[0]
-                    stats.traces_reused += traces[1]
-                    if status == "ok":
-                        stats.executed += 1
-                        if wall > 0:
-                            stats.profile.append(
-                                _profile_of(label, payload, wall))
-                    _settled(label, status if status == "ok" else "error")
+                        outcome = (cell.label, "error",
+                                   f"{type(exc).__name__}: {exc}", 0.0, (0, 0))
+                    _outcome(*outcome)
                     if should_stop is not None and stop_reason is None:
                         stop_reason = should_stop() or None
                         if stop_reason:
@@ -483,17 +446,7 @@ def execute_cells(
                     stop_reason = should_stop() or None
                     if stop_reason:
                         break
-                label, status, payload, wall, traces = _execute_one(
-                    cell, keys[cell.label], cache)
-                outcomes[keys[label]] = (status, payload)
-                _observe_cell(label, status, wall)
-                stats.traces_generated += traces[0]
-                stats.traces_reused += traces[1]
-                if status == "ok":
-                    stats.executed += 1
-                    if wall > 0:
-                        stats.profile.append(_profile_of(label, payload, wall))
-                _settled(label, status if status == "ok" else "error")
+                _outcome(*_execute_one(cell, keys[cell.label], cache))
 
     # Fan unique outcomes back out to every label sharing the key.
     for cell in pending:

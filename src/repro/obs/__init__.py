@@ -24,17 +24,9 @@ hot path is a single ``is None`` check on the policy's observer slot.
 
 **Service-level**: :mod:`repro.obs.metrics` is a dependency-free
 Prometheus-workalike registry (counters/gauges/histograms, text
-exposition, a parser/linter, atomic scrapes); :mod:`repro.obs.spans`
-threads W3C ``traceparent`` correlation from an HTTP submission through
-the queue, worker, engine cells, and run manifests;
-:mod:`repro.obs.logs` is trace-correlated structured logging; and
-:mod:`repro.obs.top` is the ``repro top`` / ``repro metrics`` operator
-CLI.  All of it observes the service *around* the simulator — nothing
-instruments the per-event hot path, and determinism goldens are
-unaffected.
-
-:mod:`repro.obs.tsdb` is the append-only JSONL time-series store the
-service's metrics sampler writes.
+exposition, a parser/linter, atomic scrapes) and :mod:`repro.obs.logs`
+is structured logging.  Both observe the service *around* the
+simulator: the experiment engine and the simulator import neither.
 
 The simulator's own speed is measured by the repository benchmark,
 ``perfbench/`` (see ``perfbench/README.md``), not by this package.

@@ -1,18 +1,11 @@
-"""Structured logging for the service: line-per-record, trace-correlated.
-
-Every log record emitted under the ``repro`` logger hierarchy picks up
-the current W3C traceparent (from :mod:`repro.obs.spans`' context), so
-``grep <trace_id> service.log`` reconstructs one request's journey
-through the HTTP layer, the queue, and the worker — the log half of the
-end-to-end correlation story.
+"""Structured logging for the service: one line per record.
 
 Two output shapes, chosen by ``repro --log-json``:
 
 - **text** (default): ``2026-08-08T12:00:00 INFO repro.service.worker
-  claimed job 3f2a [trace 4bf9…]`` — human tails;
+  claimed job 3f2a job_id='3f2a'`` — human tails;
 - **json**: one JSON object per line (``ts``, ``level``, ``logger``,
-  ``msg``, ``traceparent``, plus any ``extra=`` fields) — machine
-  shippers.
+  ``msg``, plus any ``extra=`` fields) — machine shippers.
 
 Configuration is idempotent and opt-in: importing this module does
 nothing; library code just calls :func:`get_logger` and emits, and the
@@ -27,8 +20,6 @@ import logging
 import sys
 import time
 from typing import IO, Optional
-
-from repro.obs.spans import current_traceparent
 
 __all__ = ["configure_logging", "get_logger", "JsonFormatter",
            "TextFormatter"]
@@ -61,10 +52,6 @@ class JsonFormatter(logging.Formatter):
             "logger": record.name,
             "msg": record.getMessage(),
         }
-        traceparent = getattr(record, "traceparent", None) \
-            or current_traceparent()
-        if traceparent:
-            payload["traceparent"] = traceparent
         for key, value in _record_extras(record).items():
             if key in payload:
                 continue
@@ -79,17 +66,12 @@ class JsonFormatter(logging.Formatter):
 
 
 class TextFormatter(logging.Formatter):
-    """Human-readable line with an abbreviated trace id when present."""
+    """Human-readable line; ``extra=`` fields follow as ``key=value``."""
 
     def format(self, record: logging.LogRecord) -> str:
         base = (f"{_iso(record.created)} {record.levelname:<7} "
                 f"{record.name} {record.getMessage()}")
-        traceparent = getattr(record, "traceparent", None) \
-            or current_traceparent()
-        if traceparent:
-            base += f" [trace {traceparent.split('-')[1][:12]}]"
         extras = _record_extras(record)
-        extras.pop("traceparent", None)
         if extras:
             base += " " + " ".join(f"{k}={v!r}"
                                    for k, v in sorted(extras.items()))

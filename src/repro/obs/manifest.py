@@ -14,8 +14,6 @@ import subprocess
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.spans import current_traceparent
-
 MANIFEST_SCHEMA = 1
 
 _GIT_SHA: Optional[str] = None
@@ -64,7 +62,7 @@ def build_manifest(
     run was instrumented) contributes its sampling summary.
     """
     events = system.sim.events_dispatched
-    manifest = {
+    return {
         "schema": MANIFEST_SCHEMA,
         "label": label,
         "scale": scale,
@@ -79,10 +77,3 @@ def build_manifest(
                            if wall_seconds > 0 else 0.0),
         "telemetry": telemetry.summary() if telemetry is not None else None,
     }
-    traceparent = current_traceparent()
-    if traceparent:
-        # Only present for runs executed under a trace context (service
-        # jobs): the request's W3C trace id follows the run into its
-        # provenance record, closing the request -> cell -> trace loop.
-        manifest["traceparent"] = traceparent
-    return manifest

@@ -3,21 +3,21 @@
 The simulation's *in-run* telemetry (probes, JSONL traces) observes what
 happens inside one simulated system; this module observes the **service
 around it** — request rates, queue depth, claim latency, cache-hit and
-dedupe counters, per-cell wall-time distributions.  It is a minimal
+dedupe counters, job wall-time distributions.  It is a minimal
 Prometheus-client workalike built on the stdlib:
 
 - :class:`MetricsRegistry` holds metric *families* (``counter``,
   ``gauge``, ``histogram``), each optionally labelled; families and
-  their children are process-global singletons, cheap enough to touch
-  from any layer (nothing here ever runs inside the simulator's
-  per-event hot path — instrumentation is at cell/request granularity);
+  their children are process-global singletons, touched only by the
+  service (``repro.service``) at job/request granularity — the engine
+  and the simulator never import this module;
 - :meth:`MetricsRegistry.render` emits the Prometheus **text exposition
   format v0.0.4** (``GET /metrics`` serves it verbatim), atomically:
   one lock guards every update and the snapshot, so a scrape never sees
   a histogram whose bucket counts disagree with its ``_count``;
 - :func:`parse_exposition` / :func:`lint_exposition` re-parse and
   validate exposition text (CI lints the live scrape with them, and
-  ``repro top`` uses the parser as its client).
+  the ``/metrics`` render tests check against the parser).
 
 Everything is observation-only: no simulation state is read or written,
 and the default registry can be :meth:`reset <MetricsRegistry.reset>`
@@ -281,22 +281,6 @@ class MetricFamily:
                 lines.append(
                     f"{self.name}{suffix} {_format_value(child.value)}")
 
-    def snapshot_into(self, out: dict) -> None:
-        with self._lock:
-            for values, child in self._children.items():
-                key_labels = dict(zip(self.labelnames, values))
-                if self.kind == "histogram":
-                    out.setdefault(self.name, []).append({
-                        "labels": key_labels, "sum": child.sum,
-                        "count": child.count,
-                        "buckets": dict(zip(
-                            (_format_value(b) for b in child.buckets),
-                            child.cumulative())),
-                    })
-                else:
-                    out.setdefault(self.name, []).append(
-                        {"labels": key_labels, "value": child.value})
-
 
 # ----------------------------------------------------------------------
 # The registry
@@ -373,16 +357,6 @@ class MetricsRegistry:
                 self._families[name].render_into(lines)
         return "\n".join(lines) + "\n" if lines else "\n"
 
-    def snapshot(self) -> dict:
-        """JSON-ready dump: {metric: [{labels, value|sum+count+buckets}]}."""
-        for hook in list(self._scrape_hooks):
-            hook()
-        out: dict = {}
-        with self._lock:
-            for family in self._families.values():
-                family.snapshot_into(out)
-        return out
-
     def value(self, name: str, labels: Optional[dict] = None) -> float:
         """One child's current value (0.0 when it never existed)."""
         with self._lock:
@@ -410,7 +384,7 @@ REGISTRY = MetricsRegistry()
 
 
 # ----------------------------------------------------------------------
-# Exposition parsing and linting (pure python, used by CI and `repro top`)
+# Exposition parsing and linting (pure python, used by CI and the tests)
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -592,29 +566,3 @@ def lint_exposition(text: str) -> list[str]:
     except ValueError as exc:
         return [str(exc)]
     return []
-
-
-def histogram_quantile(buckets: dict[str, float], count: float,
-                       q: float) -> Optional[float]:
-    """Linear-interpolated quantile estimate from cumulative buckets.
-
-    ``buckets`` maps formatted upper bounds to cumulative counts (the
-    shape :meth:`MetricsRegistry.snapshot` emits).  Returns None when
-    the histogram is empty.  Used by ``repro top`` for p50/p95 columns.
-    """
-    if count <= 0:
-        return None
-    rank = q * count
-    bounds = sorted((_parse_value(k), v) for k, v in buckets.items())
-    prev_bound, prev_cum = 0.0, 0.0
-    for bound, cum in bounds:
-        if cum >= rank:
-            if bound == math.inf:
-                return prev_bound
-            width = bound - prev_bound
-            inside = cum - prev_cum
-            if inside <= 0:
-                return bound
-            return prev_bound + width * (rank - prev_cum) / inside
-        prev_bound, prev_cum = bound, cum
-    return prev_bound

@@ -25,8 +25,6 @@ import tempfile
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from repro.obs import metrics as _metrics
-
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 #: Records between explicit flushes of a :class:`TraceWriter` handle, so
@@ -91,13 +89,6 @@ class TraceWriter:
         self.close()
 
 
-#: Dropped-final-line accounting: silent data loss made visible on
-#: ``GET /metrics`` (and per-trace via ``iter_trace``'s ``stats`` dict).
-TORN_LINES = _metrics.REGISTRY.counter(
-    "repro_trace_torn_lines_total",
-    "Torn (truncated) final trace lines dropped while reading JSONL traces")
-
-
 def iter_trace(path: Union[str, Path],
                kind: Optional[str] = None,
                stats: Optional[dict] = None) -> Iterator[dict]:
@@ -105,10 +96,9 @@ def iter_trace(path: Union[str, Path],
 
     Optionally filters to one record ``kind`` (the ``"t"`` field). A
     truncated/partial *final* line — the signature of a run interrupted
-    mid-write — is tolerated but **counted**: the drop increments the
-    ``repro_trace_torn_lines_total`` metric and, when the caller passes
-    a ``stats`` dict, its ``"torn_lines"`` entry — so the data loss is
-    visible in ``repro analyze`` reports and on ``/metrics`` instead of
+    mid-write — is tolerated but **counted**: when the caller passes a
+    ``stats`` dict, the drop increments its ``"torn_lines"`` entry — so
+    the data loss is visible in ``repro analyze`` reports instead of
     silent.  An unparsable line anywhere else means the file is corrupt
     and raises ``json.JSONDecodeError``.
     """
@@ -130,10 +120,8 @@ def iter_trace(path: Union[str, Path],
                 continue
             if kind is None or record.get("t") == kind:
                 yield record
-        if pending_error is not None:
-            TORN_LINES.inc()
-            if stats is not None:
-                stats["torn_lines"] += 1
+        if pending_error is not None and stats is not None:
+            stats["torn_lines"] += 1
 
 
 def read_trace(path: Union[str, Path],

@@ -17,8 +17,9 @@ Pieces (each importable on its own):
   drain;
 - :mod:`repro.service.app` — a dependency-free ASGI application
   (``POST /jobs``, ``GET /jobs/<id>``, SSE progress at
-  ``GET /jobs/<id>/events``, ``GET /healthz``, ``GET /stats``) that any
-  ASGI server — uvicorn via the ``[service]`` extra — can serve;
+  ``GET /jobs/<id>/events``, ``GET /healthz``, ``GET /metrics``,
+  ``GET /stats``) that any ASGI server — uvicorn via the ``[service]``
+  extra — can serve;
 - :mod:`repro.service.server` — the ``repro-serve`` entry point, with a
   bundled stdlib HTTP/1.1 fallback server so the service runs even
   without the extra installed;

@@ -25,12 +25,6 @@ __call__` that tracks in-flight count, per-route request totals and a
 latency histogram (routes are *templates* — ``/jobs/{id}`` — so metric
 cardinality stays bounded no matter how many jobs exist).
 
-``POST /jobs`` participates in W3C Trace Context: a valid incoming
-``traceparent`` header is adopted, anything else gets a freshly minted
-one; either way the id is persisted on the job row, echoed as a
-response header, injected into every SSE frame, and carried by the
-worker into logs, cell spans, and run manifests.
-
 The SSE stream replays the job's persisted progress events from
 ``?after=<seq>`` (or the ``Last-Event-ID`` header), then keeps polling
 the store until the job reaches a terminal state, closing with an
@@ -43,13 +37,11 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Optional
 from urllib.parse import parse_qs
 
 from repro.api import ExperimentRequest
 from repro.errors import ConfigError, ReproError
 from repro.obs.metrics import REGISTRY
-from repro.obs.spans import make_traceparent, parse_traceparent
 from repro.service.jobstore import JobNotFound, JobStore
 
 #: How often the SSE loop polls the store for new events (seconds).
@@ -114,13 +106,6 @@ def route_template(path: str) -> str:
         if len(parts) == 2 and parts[1] in _JOB_VERBS:
             return "/jobs/{id}/" + parts[1]
     return "(unmatched)"
-
-
-def _header(scope, name: bytes) -> Optional[str]:
-    for key, value in scope.get("headers", []):
-        if key == name:
-            return value.decode("latin-1")
-    return None
 
 
 class ServiceApp:
@@ -207,7 +192,7 @@ class ServiceApp:
             await self._json(send, 200, stats)
             return
         if path == "/jobs" and method == "POST":
-            await self._submit(scope, receive, send)
+            await self._submit(receive, send)
             return
         if path == "/jobs" and method == "GET":
             state = (query.get("state") or [None])[0]
@@ -270,7 +255,6 @@ class ServiceApp:
                                       {"outcome": "requeued"}),
             "orphans_failed": value("repro_jobs_orphaned_total",
                                     {"outcome": "failed"}),
-            "torn_trace_lines": value("repro_trace_torn_lines_total"),
             "sse_frames": value("repro_sse_frames_total"),
         }
 
@@ -288,7 +272,7 @@ class ServiceApp:
                     "headers": [(b"content-type", METRICS_CONTENT_TYPE)]})
         await send({"type": "http.response.body", "body": body})
 
-    async def _submit(self, scope, receive, send) -> None:
+    async def _submit(self, receive, send) -> None:
         body = await self._read_body(receive)
         try:
             data = json.loads(body or b"{}")
@@ -301,14 +285,7 @@ class ServiceApp:
             return
         request = ExperimentRequest.from_dict(data)
         request.validate()
-        incoming = _header(scope, b"traceparent")
-        traceparent = (incoming if parse_traceparent(incoming)
-                       else make_traceparent())
-        job = self.store.submit(request, traceparent=traceparent)
-        headers = list(JSON_HEADERS)
-        headers.append((b"traceparent",
-                        (job.traceparent or traceparent).encode("latin-1")))
-        await self._json(send, 202, job.to_dict(), headers=headers)
+        await self._json(send, 202, self.store.submit(request).to_dict())
 
     async def _result(self, send, job_id: str) -> None:
         job = self.store.get(job_id)
@@ -324,8 +301,7 @@ class ServiceApp:
         })
 
     async def _events(self, scope, query, send, job_id: str) -> None:
-        job = self.store.get(job_id)  # 404 before the stream starts
-        traceparent = job.traceparent
+        self.store.get(job_id)  # 404 before the stream starts
         after = int((query.get("after") or ["0"])[0])
         for name, value in scope.get("headers", []):
             if name == b"last-event-id":
@@ -344,9 +320,6 @@ class ServiceApp:
                 events = self.store.events_since(job_id, after)
                 for seq, payload in events:
                     after = seq
-                    if traceparent:
-                        payload = dict(payload)
-                        payload.setdefault("traceparent", traceparent)
                     frame = (f"id: {seq}\n"
                              f"data: {json.dumps(payload)}\n\n")
                     await send({"type": "http.response.body",
@@ -390,11 +363,10 @@ class ServiceApp:
         return b"".join(chunks)
 
     @staticmethod
-    async def _json(send, status: int, payload: dict,
-                    headers: Optional[list] = None) -> None:
+    async def _json(send, status: int, payload: dict) -> None:
         body = json.dumps(payload, indent=2).encode("utf-8") + b"\n"
         await send({"type": "http.response.start", "status": status,
-                    "headers": (headers or list(JSON_HEADERS))})
+                    "headers": list(JSON_HEADERS)})
         await send({"type": "http.response.body", "body": body})
 
 

@@ -87,7 +87,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     cached_cells     INTEGER NOT NULL DEFAULT 0,
     events_simulated INTEGER NOT NULL DEFAULT 0,
     sim_wall_seconds REAL NOT NULL DEFAULT 0,
-    traceparent      TEXT,
     heartbeat        REAL
 );
 CREATE INDEX IF NOT EXISTS jobs_claimable
@@ -120,14 +119,12 @@ class JobStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._db() as conn:
             conn.executescript(_SCHEMA)
-            # Migration for stores created before request tracing: the
-            # jobs row gained a traceparent column.
-            cols = {row["name"] for row in
-                    conn.execute("PRAGMA table_info(jobs)")}
-            if "traceparent" not in cols:
-                conn.execute("ALTER TABLE jobs ADD COLUMN traceparent TEXT")
             # Migration: the jobs row gained a worker-liveness heartbeat
             # (updated on claim and on every per-cell progress report).
+            # Older stores may also carry a ``traceparent`` column; it
+            # is nullable and no longer read or written.
+            cols = {row["name"] for row in
+                    conn.execute("PRAGMA table_info(jobs)")}
             if "heartbeat" not in cols:
                 conn.execute("ALTER TABLE jobs ADD COLUMN heartbeat REAL")
 
@@ -151,25 +148,19 @@ class JobStore:
     # ------------------------------------------------------------------
     # Submission and lifecycle
     # ------------------------------------------------------------------
-    def submit(self, request: ExperimentRequest,
-               traceparent: Optional[str] = None) -> JobStatus:
-        """Enqueue one request; returns the queued job's status.
-
-        ``traceparent`` (a W3C trace-context header value) is persisted
-        on the job row, so the submitting request's trace id follows
-        the job through workers, traces, and progress streams.
-        """
+    def submit(self, request: ExperimentRequest) -> JobStatus:
+        """Enqueue one request; returns the queued job's status."""
         request.validate()
         job_id = uuid.uuid4().hex
         now = time.time()
         with self._db() as conn:
             conn.execute(
                 "INSERT INTO jobs (id, fingerprint, request, state,"
-                " max_attempts, timeout_seconds, submitted_at, traceparent)"
-                " VALUES (?, ?, ?, 'queued', ?, ?, ?, ?)",
+                " max_attempts, timeout_seconds, submitted_at)"
+                " VALUES (?, ?, ?, 'queued', ?, ?, ?)",
                 (job_id, request.fingerprint(),
                  json.dumps(request.to_dict()), request.max_attempts,
-                 request.timeout_seconds, now, traceparent),
+                 request.timeout_seconds, now),
             )
         JOBS_SUBMITTED.inc()
         self.add_event(job_id, {"t": "state", "state": "queued"})
@@ -479,7 +470,6 @@ class JobStore:
             total_cells=row["total_cells"],
             executed_cells=row["executed_cells"],
             cached_cells=row["cached_cells"],
-            traceparent=row["traceparent"],
             heartbeat=row["heartbeat"],
         )
 
@@ -544,7 +534,7 @@ class JobStore:
             "queue_depth": int(by_state.get("queued", 0)),
             #: Seconds since the least-recently-beating running job's
             #: heartbeat; None when nothing is running.  The liveness
-            #: signal /healthz/ready and `repro top` surface.
+            #: signal /healthz/ready surfaces.
             "stalest_heartbeat_seconds": stalest,
             "cells_executed": executed,
             "cells_cached": cached,

@@ -50,7 +50,6 @@ def build_service(
     recover: bool = True,
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     events_ttl: Optional[float] = None,
-    tsdb_path: Optional[str] = None,
 ) -> tuple[JobStore, WorkerPool, ServiceApp]:
     """Assemble store + pool + app (shared by serve() and tests)."""
     store = JobStore(os.path.join(data_dir, "jobs.sqlite3"))
@@ -60,17 +59,11 @@ def build_service(
             print(f"[recovered {len(recovered)} orphaned job(s)]",
                   file=sys.stderr)
     cache = CellCache(cache_dir or default_cache_dir())
-    tsdb = None
-    if tsdb_path is not None:
-        from repro.obs.tsdb import TimeSeriesStore
-
-        tsdb = TimeSeriesStore(tsdb_path)
     pool = WorkerPool(
         store, workers=workers, cache=cache,
         trace_root=os.path.join(data_dir, "traces"),
         heartbeat_timeout=heartbeat_timeout,
         events_ttl=events_ttl,
-        tsdb=tsdb,
     )
     app = ServiceApp(store, pool=pool)
     return store, pool, app
@@ -215,9 +208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="SECONDS",
                         help="prune per-job progress events this long "
                              "after the job finishes (default: keep all)")
-    parser.add_argument("--tsdb", default=None, metavar="FILE",
-                        help="append periodic metrics snapshots to this "
-                             "JSONL time-series store")
     parser.add_argument("--no-uvicorn", action="store_true",
                         help="force the bundled stdlib server even when "
                              "uvicorn is installed")
@@ -228,7 +218,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         recover=not args.no_recover,
         heartbeat_timeout=args.heartbeat_timeout,
         events_ttl=args.events_ttl,
-        tsdb_path=args.tsdb,
     )
     pool.start()
     print(f"[repro-serve] {pool.num_workers} worker(s), "

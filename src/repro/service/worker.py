@@ -25,8 +25,7 @@ Guard rails, all first-class:
   records through a :class:`~repro.obs.progress.TraceTailer`;
 - **janitor** — one housekeeping thread per pool periodically recovers
   jobs whose worker heartbeat went silent (live orphan recovery, no
-  restart needed), prunes terminal jobs' event logs past the TTL, and
-  appends a metrics snapshot to the time-series store.
+  restart needed) and prunes terminal jobs' event logs past the TTL.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from repro.experiments.cellcache import CellCache
 from repro.obs.logs import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.progress import TraceTailer
-from repro.obs.spans import use_span_sink, use_traceparent
 from repro.service.jobstore import JobStore
 
 #: How long an idle worker sleeps between claim attempts.
@@ -122,10 +120,6 @@ class _JobRun:
         })
         self.pump_telemetry()
 
-    def on_span(self, finished) -> None:
-        """Span sink: per-cell timing spans join the job's SSE feed."""
-        self.store.add_event(self.job.id, {"t": "span", **finished.to_dict()})
-
     def pump_telemetry(self) -> None:
         """Forward new telemetry JSONL records to the SSE feed."""
         if self._tailer is None:
@@ -159,7 +153,6 @@ class WorkerPool:
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         events_ttl: Optional[float] = None,
         janitor_interval: float = DEFAULT_JANITOR_INTERVAL,
-        tsdb: Optional[object] = None,
     ) -> None:
         self.store = store
         self.cache = cache
@@ -169,7 +162,6 @@ class WorkerPool:
         self.heartbeat_timeout = heartbeat_timeout
         self.events_ttl = events_ttl
         self.janitor_interval = janitor_interval
-        self.tsdb = tsdb  # a repro.obs.tsdb.TimeSeriesStore, or None
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._janitor: Optional[threading.Thread] = None
@@ -245,13 +237,6 @@ class WorkerPool:
                              "%.0fs TTL", pruned, self.events_ttl)
             except Exception as exc:  # noqa: BLE001
                 log.warning("janitor event prune failed: %s", exc)
-        if self.tsdb is not None:
-            try:
-                from repro.obs.tsdb import metrics_row
-
-                self.tsdb.append("metrics", metrics_row(REGISTRY.snapshot()))
-            except Exception as exc:  # noqa: BLE001
-                log.warning("janitor metrics scrape failed: %s", exc)
 
     def _trace_dir_for(self, job: JobStatus) -> Optional[str]:
         if not (job.request.trace and self.trace_root):
@@ -259,14 +244,10 @@ class WorkerPool:
         return os.path.join(self.trace_root, job.id)
 
     def _run_job(self, worker_name: str, job: JobStatus) -> None:
-        # The job's submission-time traceparent becomes the worker
-        # thread's trace context: manifests, cell spans, and every log
-        # record below carry the same trace id the client holds.
         started = time.perf_counter()
         run = _JobRun(self.store, job, self._stop,
                       self._trace_dir_for(job))
-        with use_traceparent(job.traceparent), use_span_sink(run.on_span):
-            outcome = self._execute(worker_name, job, run)
+        outcome = self._execute(worker_name, job, run)
         JOBS_SETTLED.labels(outcome=outcome).inc()
         JOB_SECONDS.observe(time.perf_counter() - started)
 

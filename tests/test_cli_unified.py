@@ -8,8 +8,7 @@ from repro.cli import main
 def test_help_lists_every_subcommand(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    for command in ("experiment", "analyze", "validate", "serve",
-                    "top", "metrics"):
+    for command in ("experiment", "analyze", "validate", "serve"):
         assert command in out
     assert "--log-level" in out
 
@@ -26,8 +25,9 @@ def test_version_flag(capsys):
 
 
 def test_unknown_command_is_an_error(capsys):
-    # 'profile' and 'dash' were subcommands once; they are unknown now.
-    for command in ("frobnicate", "profile", "dash"):
+    # 'profile', 'dash', 'top' and 'metrics' were subcommands once;
+    # they are unknown now.
+    for command in ("frobnicate", "profile", "dash", "top", "metrics"):
         assert main([command]) == 2
         captured = capsys.readouterr()
         assert f"unknown command {command!r}" in captured.err
@@ -42,8 +42,7 @@ def test_experiment_subcommand_delegates(capsys):
 
 
 @pytest.mark.parametrize("subcommand", ["experiment", "analyze",
-                                        "validate", "serve",
-                                        "top", "metrics"])
+                                        "validate", "serve"])
 def test_each_subcommand_wires_to_a_real_parser(subcommand, capsys):
     # argparse exits 0 on --help; reaching it proves the lazy import
     # resolved and the delegation passed arguments through.

@@ -114,7 +114,7 @@ def test_code_version_changes_when_a_simulation_file_is_added(tmp_path):
 
 
 @pytest.mark.parametrize("source", [
-    "obs/tsdb.py", "obs/trace.py", "experiments/runner.py", "cli.py",
+    "obs/compare.py", "obs/trace.py", "experiments/runner.py", "cli.py",
 ])
 def test_code_version_ignores_observation_and_cli_sources(tmp_path, source):
     copy = _package_copy(tmp_path)

@@ -3,8 +3,10 @@
 CLI start-up, spec resolution, cell keying and fully cached runs load
 only the CLI, the registry, the cell cache, rendering and claims; the
 model (controllers, channels, arrays, policies, cores) and the process
-pool load when a cell runs. Each check runs in a fresh interpreter,
-since this test session has long since imported everything.
+pool load when a cell runs. The service's own observability (the
+metrics registry) is never loaded by the engine at all, not even when a
+traced cell executes. Each check runs in a fresh interpreter, since
+this test session has long since imported everything.
 """
 
 import json
@@ -29,9 +31,16 @@ SIMULATOR_MODULES = (
     "concurrent.futures.process",
 )
 
+#: The service's observability, which the engine never loads.
+SERVICE_OBS_MODULES = (
+    "repro.obs.metrics",
+    "repro.obs.spans",
+)
+
 _REPORT = f"""
 import json, sys
-loaded = [m for m in {SIMULATOR_MODULES!r} if m in sys.modules]
+loaded = [m for m in {SIMULATOR_MODULES + SERVICE_OBS_MODULES!r}
+          if m in sys.modules]
 """
 
 
@@ -86,6 +95,28 @@ def test_cached_rerun_loads_no_simulator(tmp_path):
     assert warm_code == cold_code
     assert ((tmp_path / "warm.json").read_bytes()
             == (tmp_path / "cold.json").read_bytes())
+
+
+def test_traced_cell_loads_no_service_observability(tmp_path):
+    code = f"""
+import sys
+from repro import api
+from repro.experiments.common import SMOKE, scaled_config
+from repro.experiments.exec import MixCell
+from repro.obs.telemetry import TelemetryConfig
+from repro.workloads.mixes import rate_mix
+telemetry = TelemetryConfig(trace_dir={str(tmp_path / "traces")!r})
+cell = MixCell("mcf/dap", rate_mix("mcf"),
+               scaled_config(SMOKE, policy="dap"), SMOKE,
+               telemetry=telemetry)
+results, stats = api.run_cells([cell])
+assert stats.executed == 1, stats
+print(sorted(m for m in {SERVICE_OBS_MODULES!r} if m in sys.modules))
+"""
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+    assert list((tmp_path / "traces").glob("*.manifest.json"))
 
 
 def test_ledger_contract_survives_the_lazy_imports():

@@ -328,3 +328,69 @@ def test_prune_events_drops_only_old_terminal_jobs(store):
     assert after - before == pruned
     # The job row itself survives pruning — only the event log goes.
     assert store.get(done.id).state == "succeeded"
+
+
+# ----------------------------------------------------------------------
+# Stores created by older versions
+# ----------------------------------------------------------------------
+
+#: The jobs table as stores created with W3C trace-context propagation
+#: have it: a ``traceparent`` column, which the store no longer reads.
+_TRACEPARENT_ERA_JOBS = """
+CREATE TABLE jobs (
+    id               TEXT PRIMARY KEY,
+    fingerprint      TEXT NOT NULL,
+    request          TEXT NOT NULL,
+    state            TEXT NOT NULL,
+    attempts         INTEGER NOT NULL DEFAULT 0,
+    max_attempts     INTEGER NOT NULL DEFAULT 2,
+    timeout_seconds  REAL,
+    not_before       REAL NOT NULL DEFAULT 0,
+    cancel_requested INTEGER NOT NULL DEFAULT 0,
+    worker           TEXT,
+    error            TEXT,
+    result           TEXT,
+    submitted_at     REAL NOT NULL,
+    started_at       REAL,
+    finished_at      REAL,
+    done_cells       INTEGER NOT NULL DEFAULT 0,
+    total_cells      INTEGER NOT NULL DEFAULT 0,
+    executed_cells   INTEGER NOT NULL DEFAULT 0,
+    cached_cells     INTEGER NOT NULL DEFAULT 0,
+    events_simulated INTEGER NOT NULL DEFAULT 0,
+    sim_wall_seconds REAL NOT NULL DEFAULT 0,
+    traceparent      TEXT,
+    heartbeat        REAL
+)
+"""
+
+
+def test_store_with_a_traceparent_column_still_works(tmp_path):
+    import json
+    import sqlite3
+
+    path = tmp_path / "old.sqlite3"
+    request = _request()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(_TRACEPARENT_ERA_JOBS)
+        conn.execute(
+            "INSERT INTO jobs (id, fingerprint, request, state,"
+            " max_attempts, submitted_at, traceparent)"
+            " VALUES ('old1', ?, ?, 'queued', 2, ?, ?)",
+            (request.fingerprint(), json.dumps(request.to_dict()),
+             time.time(), "00-" + "a" * 32 + "-" + "b" * 16 + "-01"))
+    conn.close()
+
+    store = JobStore(path)
+    [listed] = store.list_jobs()
+    assert listed.id == "old1" and listed.state == "queued"
+    assert "traceparent" not in listed.to_dict()
+    claimed = store.claim("w1")
+    assert claimed is not None and claimed.id == "old1"
+    store.complete("old1", _result())
+    assert store.get("old1").state == "succeeded"
+    assert store.result("old1")["rows"] == [["mcf", 1.05]]
+    # New submissions land in the old table too.
+    fresh = store.submit(_request(workloads=("milc",)))
+    assert store.get(fresh.id).state == "queued"

@@ -14,7 +14,6 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    histogram_quantile,
     lint_exposition,
     parse_exposition,
 )
@@ -175,28 +174,6 @@ def test_parse_accepts_special_values():
     assert by_name["c"] == -math.inf
     assert math.isnan(by_name["d"])
     assert by_name["e"] == -4.5
-
-
-def test_snapshot_shape(registry):
-    registry.counter("jobs_total", "jobs", ("outcome",)) \
-        .labels(outcome="failed").inc()
-    registry.histogram("h_seconds", "h", buckets=(1.0,)).observe(0.5)
-    snap = registry.snapshot()
-    assert snap["jobs_total"] == [
-        {"labels": {"outcome": "failed"}, "value": 1.0}]
-    [hist] = snap["h_seconds"]
-    assert hist["count"] == 1
-    assert hist["buckets"] == {"1": 1}
-
-
-def test_histogram_quantile_interpolates():
-    # 100 observations uniform in (0, 1]: p50 ~ 0.5, p95 ~ 0.95.
-    buckets = {"0.25": 25, "0.5": 50, "0.75": 75, "1": 100, "+Inf": 100}
-    assert histogram_quantile(buckets, 100, 0.5) == pytest.approx(0.5)
-    assert histogram_quantile(buckets, 100, 0.95) == pytest.approx(0.95)
-    assert histogram_quantile(buckets, 0, 0.5) is None
-    # Mass in the +Inf bucket clamps to the last finite bound.
-    assert histogram_quantile({"1": 0, "+Inf": 10}, 10, 0.5) == 1.0
 
 
 def test_default_buckets_are_ascending():

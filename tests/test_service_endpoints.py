@@ -12,7 +12,6 @@ import pytest
 
 from repro import api
 from repro.obs.metrics import parse_exposition
-from repro.obs.spans import make_traceparent, parse_traceparent
 from repro.service.app import ServiceApp, route_template
 from repro.service.jobstore import JobStore
 from repro.service.testing import TestClient, parse_sse
@@ -122,8 +121,7 @@ def test_stats_exposes_service_counters(client):
                 "workers", "jobs_run_by_this_process"):
         assert key in stats
     for key in ("jobs_submitted", "jobs_deduped", "job_retries",
-                "orphans_requeued", "orphans_failed", "torn_trace_lines",
-                "sse_frames"):
+                "orphans_requeued", "orphans_failed", "sse_frames"):
         assert key in stats["counters"]
 
 
@@ -185,36 +183,18 @@ def test_route_template_bounds_cardinality():
     assert route_template("/anything/else") == "(unmatched)"
 
 
-# ----------------------------------------------------------------------
-# Trace context at the HTTP edge
-# ----------------------------------------------------------------------
-
-def test_submit_mints_traceparent_when_client_sends_none(client):
-    response = client.post("/jobs", json_body=REQUEST_BODY)
+def test_submit_ignores_a_traceparent_header(client):
+    # Clients that still send W3C trace context are accepted unchanged;
+    # the header is neither echoed nor stored.
+    header = "00-" + "a" * 32 + "-" + "b" * 16 + "-01"
+    response = client.post("/jobs", json_body=REQUEST_BODY,
+                           headers={"traceparent": header})
     assert response.status == 202
-    echoed = response.headers["traceparent"]
-    assert parse_traceparent(echoed) is not None
+    assert "traceparent" not in response.headers
     job = response.json()
-    assert job["traceparent"] == echoed
-    # Persisted on the job row: a later GET returns the same id.
-    assert client.get(f"/jobs/{job['id']}").json()["traceparent"] == echoed
-
-
-def test_submit_adopts_valid_client_traceparent(client):
-    mine = make_traceparent()
-    response = client.post("/jobs", json_body=REQUEST_BODY,
-                           headers={"traceparent": mine})
-    assert response.headers["traceparent"] == mine
-    assert response.json()["traceparent"] == mine
-
-
-def test_submit_replaces_invalid_traceparent(client):
-    bogus = "00-" + "0" * 32 + "-" + "0" * 16 + "-01"
-    response = client.post("/jobs", json_body=REQUEST_BODY,
-                           headers={"traceparent": bogus})
-    minted = response.headers["traceparent"]
-    assert minted != bogus
-    assert parse_traceparent(minted) is not None
+    assert job["state"] == "queued"
+    assert "traceparent" not in job
+    assert "traceparent" not in client.get(f"/jobs/{job['id']}").json()
 
 
 @pytest.mark.parametrize("body, message", [

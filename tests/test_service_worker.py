@@ -11,7 +11,10 @@ import pytest
 
 from repro import api
 from repro.api import ExperimentRequest
+from repro.obs.metrics import REGISTRY
+from repro.service.app import ServiceApp
 from repro.service.jobstore import JobStore
+from repro.service.testing import TestClient
 from repro.service.worker import WorkerPool
 
 
@@ -175,14 +178,11 @@ def test_recovered_orphan_resumes_from_cache(store, pool):
 # The janitor
 # ----------------------------------------------------------------------
 
-def test_janitor_recovers_stale_jobs_and_prunes_events(tmp_path, store):
-    from repro.obs.tsdb import TimeSeriesStore
-
-    tsdb = TimeSeriesStore(tmp_path / "ts.jsonl")
+def test_janitor_recovers_stale_jobs_and_prunes_events(store):
     # Threads never started: janitor_pass() is driven directly, with
     # horizons in the future so "stale" and "expired" are immediate.
     pool = WorkerPool(store, workers=1, cache=None,
-                      heartbeat_timeout=-1.0, events_ttl=-1.0, tsdb=tsdb)
+                      heartbeat_timeout=-1.0, events_ttl=-1.0)
 
     stale = store.submit(_request(max_attempts=3))
     store.claim("dead-worker")
@@ -199,8 +199,6 @@ def test_janitor_recovers_stale_jobs_and_prunes_events(tmp_path, store):
 
     assert store.get(stale.id).state == "queued"      # live recovery
     assert store.events_since(done.id) == []          # TTL prune
-    rows = tsdb.rows(kind="metrics")                  # metrics scrape
-    assert len(rows) == 1 and rows[0]["data"]
 
 
 def test_janitor_with_fresh_heartbeats_is_a_no_op(store):
@@ -210,3 +208,74 @@ def test_janitor_with_fresh_heartbeats_is_a_no_op(store):
     store.claim("live-worker")
     pool.janitor_pass()
     assert store.get(job.id).state == "running"  # untouched
+
+
+# ----------------------------------------------------------------------
+# Through the HTTP app: results and counters
+# ----------------------------------------------------------------------
+
+def test_traced_job_rows_bit_identical_to_direct_run(tmp_path, store):
+    """Telemetry + metrics are observation-only: a traced service job
+    computes exactly what an uninstrumented direct call does (both
+    cold, independent caches)."""
+    pool = WorkerPool(store, workers=1,
+                      cache=api.default_cache(str(tmp_path / "svc-cache")),
+                      trace_root=str(tmp_path / "traces"),
+                      poll_seconds=0.02)
+    client = TestClient(ServiceApp(store, pool=pool))
+    job = client.post("/jobs", json_body={
+        "experiment": "fig06", "scale": "smoke", "workloads": ["mcf"],
+        "trace": True}).json()
+    pool.start()
+    try:
+        done = _wait_terminal(store, job["id"], timeout=240).to_dict()
+    finally:
+        pool.stop(timeout=240)
+    assert done["state"] == "succeeded"
+    assert done["executed_cells"] == 2
+
+    direct = api.run_experiment(
+        api.ExperimentRequest(experiment="fig06", scale="smoke",
+                              workloads=("mcf",)),
+        cache=str(tmp_path / "direct-cache"))
+    service_result = client.get(f"/jobs/{job['id']}/result").json()["result"]
+    assert service_result["rows"] == [list(r) for r in direct.rows]
+    assert service_result["headers"] == list(direct.headers)
+
+
+def test_dedupe_and_outcome_counters_move(store, shared_cache_dir):
+    """A fully cache-served submission bumps repro_jobs_deduped_total
+    (the counter CI asserts on) and the succeeded-outcome counter."""
+    request = api.ExperimentRequest(experiment="fig06", scale="smoke",
+                                    workloads=("mcf",))
+    api.run_experiment(request, cache=shared_cache_dir)  # warm the cache
+
+    deduped_before = REGISTRY.value("repro_jobs_deduped_total")
+    succeeded_before = REGISTRY.value("repro_jobs_total",
+                                      {"outcome": "succeeded"})
+    submitted_before = REGISTRY.value("repro_jobs_submitted_total")
+
+    pool = WorkerPool(store, workers=1,
+                      cache=api.default_cache(shared_cache_dir),
+                      poll_seconds=0.02)
+    client = TestClient(ServiceApp(store, pool=pool))
+    job = client.post("/jobs", json_body={"experiment": "fig06",
+                                          "scale": "smoke",
+                                          "workloads": ["mcf"]}).json()
+    pool.start()
+    try:
+        done = _wait_terminal(store, job["id"], timeout=240).to_dict()
+    finally:
+        pool.stop(timeout=240)
+    assert done["state"] == "succeeded"
+    assert done["executed_cells"] == 0  # pure cache hit
+
+    assert REGISTRY.value("repro_jobs_deduped_total") == deduped_before + 1
+    assert REGISTRY.value("repro_jobs_total",
+                          {"outcome": "succeeded"}) == succeeded_before + 1
+    assert REGISTRY.value("repro_jobs_submitted_total") == \
+        submitted_before + 1
+    assert REGISTRY.value("repro_worker_cells_total",
+                          {"status": "cached"}) >= 2
+    # The store-side claim histogram observed this claim.
+    assert REGISTRY.value("repro_claim_latency_seconds") >= 1
