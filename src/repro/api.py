@@ -48,7 +48,7 @@ from repro.experiments.exec import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_spec
 from repro.metrics.stats import RunResult
-from repro.obs.telemetry import DEFAULT_PROBE_INTERVAL, TelemetryConfig
+from repro.obs.telemetry_config import DEFAULT_PROBE_INTERVAL, TelemetryConfig
 
 __all__ = [
     "ExperimentRequest",

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.sram_cache import SRAMCache
+from repro.errors import ConfigError
 
 DBC_ENTRIES = 32 * 1024
 DBC_ASSOC = 4
@@ -33,6 +34,9 @@ class DirtyBitCache:
         group_sets: int = DBC_GROUP_SETS,
         lookup_cycles: int = DBC_LOOKUP_CYCLES,
     ) -> None:
+        if group_sets < 1:
+            raise ConfigError(
+                f"dbc: group_sets must be positive, not {group_sets!r}")
         self._cache = SRAMCache(
             "dbc", size_bytes=entries, assoc=assoc, line_bytes=1, policy="lru"
         )

@@ -12,11 +12,16 @@ sector footprints (dict insertion order gives us FIFO for free).
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
+
 
 class FootprintPredictor:
     """Sector-id keyed footprint history with FIFO replacement."""
 
     def __init__(self, capacity: int = 64 * 1024) -> None:
+        if capacity < 1:
+            raise ConfigError(
+                f"footprint: capacity must be positive, not {capacity!r}")
         self.capacity = capacity
         self._table: dict[int, int] = {}
         self.predictions = 0

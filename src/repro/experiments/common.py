@@ -57,11 +57,13 @@ _MATERIALIZE_REFS_LIMIT = 1_000_000
 def warm_system(system, mix: Mix, scale: Scale) -> int:
     """Pre-install the mix's warm set in the memory-side cache.
 
-    Both halves of warmup run here — synthesizing the per-core
-    :class:`~repro.workloads.columns.WarmSet` s and installing them — so
+    Both halves of warmup run here — taking the per-core
+    :class:`~repro.workloads.columns.WarmSet` s from the invocation's
+    store (synthesizing each on its first use) and installing them — so
     a ledger wrapping this function books all of it.
     """
-    return system.msc.warm_many(mix.warm_sets(scale.footprint_scale))
+    return system.msc.warm_many(
+        active_backend().warm_sets(mix, scale.footprint_scale))
 
 
 def run_mix(mix: Mix, config: SystemConfig, scale: Scale,

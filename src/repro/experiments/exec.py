@@ -44,7 +44,7 @@ from repro.experiments.scale import ExperimentResult, Scale, get_scale
 
 if TYPE_CHECKING:
     from repro.hierarchy.config import SystemConfig
-    from repro.obs.telemetry import TelemetryConfig
+    from repro.obs.telemetry_config import TelemetryConfig
     from repro.workloads.mixes import Mix
 
 

@@ -40,7 +40,7 @@ from repro.experiments.cellcache import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_spec, iter_specs
 from repro.metrics.charts import chart_result
-from repro.obs.telemetry import DEFAULT_PROBE_INTERVAL, TelemetryConfig
+from repro.obs.telemetry_config import DEFAULT_PROBE_INTERVAL, TelemetryConfig
 
 DEFAULT_TRACE_DIR = ".repro-traces"
 

@@ -37,8 +37,14 @@ class DramConfig:
     row_bytes: int = 2048
 
     def __post_init__(self) -> None:
-        if self.num_channels <= 0 or self.banks_per_channel <= 0:
-            raise ConfigError(f"invalid geometry in config {self.name}")
+        for field_name in ("num_channels", "banks_per_channel", "device_ghz"):
+            value = getattr(self, field_name)
+            if not value > 0:
+                raise ConfigError(f"{self.name}: {field_name} must be "
+                                  f"positive, not {value!r}")
+        if not self.row_bytes >= 64:
+            raise ConfigError(f"{self.name}: row_bytes must be at least 64 "
+                              f"(one line), not {self.row_bytes!r}")
 
     @property
     def channel_gbps(self) -> float:

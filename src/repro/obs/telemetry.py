@@ -22,47 +22,22 @@ applies a deterministic 1-in-N sampling stride before materializing the
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigError
+from repro.obs.telemetry_config import (  # noqa: F401 — re-exported
+    DEFAULT_BUFFER_SAMPLES,
+    DEFAULT_EVENT_SAMPLE,
+    DEFAULT_PROBE_INTERVAL,
+    TelemetryConfig,
+)
 
 if TYPE_CHECKING:
     from repro.engine.event_queue import Simulator
 
 Probe = Callable[[], float]
 
-DEFAULT_PROBE_INTERVAL = 10_000
-DEFAULT_BUFFER_SAMPLES = 4096
-DEFAULT_EVENT_SAMPLE = 1
 DEFAULT_EVENT_BUFFER = 65_536
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Everything a run needs to know to instrument itself.
-
-    Picklable (so cells can carry it across process-pool workers) and
-    deliberately *not* part of any cell cache key: telemetry never
-    changes simulation results, only observes them.
-    """
-
-    probe_interval: int = DEFAULT_PROBE_INTERVAL  # cycles between samples
-    trace_dir: Optional[str] = None   # stream JSONL here (None = memory only)
-    events: bool = True               # record per-decision DAP events
-    event_sample: int = DEFAULT_EVENT_SAMPLE  # keep every Nth decision
-    buffer_samples: int = DEFAULT_BUFFER_SAMPLES  # ring bound per series
-
-    def __post_init__(self) -> None:
-        if self.probe_interval <= 0:
-            raise ConfigError(
-                f"probe_interval must be positive, got {self.probe_interval}")
-        if self.event_sample <= 0:
-            raise ConfigError(
-                f"event_sample must be positive, got {self.event_sample}")
-        if self.buffer_samples <= 0:
-            raise ConfigError(
-                f"buffer_samples must be positive, got {self.buffer_samples}")
 
 
 class Series:

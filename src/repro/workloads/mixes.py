@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import WorkloadError
-from repro.workloads.columns import WarmSet
 from repro.workloads.profiles import (
     BANDWIDTH_INSENSITIVE,
     BANDWIDTH_SENSITIVE,
     get_profile,
 )
-from repro.workloads.synthetic import core_base_line, generate_trace, warm_lines
+from repro.workloads.synthetic import core_base_line, generate_trace
 
 MIX_SEED = 20170204  # HPCA 2017
 NUM_HETEROGENEOUS = 27
@@ -44,20 +43,6 @@ class Mix:
             generate_trace(
                 get_profile(member),
                 num_refs=refs_per_core,
-                base_line=core_base_line(core_id),
-                scale=scale,
-                seed=core_id,
-            )
-            for core_id, member in enumerate(self.members)
-        ]
-
-    def warm_sets(self, scale: float = 1.0) -> list[WarmSet]:
-        """The mix's warm set: one :class:`WarmSet` per core, in core
-        order (kept apart, so each core's flags are drawn and packed on
-        their own)."""
-        return [
-            warm_lines(
-                get_profile(member),
                 base_line=core_base_line(core_id),
                 scale=scale,
                 seed=core_id,

@@ -119,8 +119,14 @@ def _apply(target, op, arg, dirty):
     return getattr(target, op)(arg)
 
 
-# Lines 0..23 over 4 sets: every set sees six colliding lines.
-_op = st.tuples(st.sampled_from(_OPS), st.integers(0, 23), st.booleans())
+# Lines 0..23 over 4 sets: every set sees six colliding lines. The
+# far lines sit at tag boundaries (multiples of the set count, with tags
+# far past 2**32 / 4) and around the last core's base line of an 8-core
+# mix, so a victim's line is rebuilt from a large tag.
+_FAR_LINES = ([k * _SETS for k in (1 << 20, (1 << 40) + 1)]
+              + [core_base_line(7) + offset for offset in range(-3, 5)])
+_line = st.one_of(st.integers(0, 23), st.sampled_from(_FAR_LINES))
+_op = st.tuples(st.sampled_from(_OPS), _line, st.booleans())
 
 
 @given(st.lists(_op, max_size=80))
@@ -129,6 +135,16 @@ _op = st.tuples(st.sampled_from(_OPS), st.integers(0, 23), st.booleans())
 @example([("fill", 5, False), ("fill", 5, True), ("is_dirty", 5, False)])
 @example([("fill", 5, True), ("fill", 5, False), ("is_dirty", 5, False)])
 @example([("fill", 1, True), ("fill", 5, False), ("set_is_dirty", 1, False)])
+# Line 0 and the first line of tag 1 share set 0; a far dirty victim
+# whose tag is 2**20, displaced by line 4 and then by line 0.
+@example([("fill", 0, True), ("fill", _SETS, False), ("probe", 0, False)])
+@example([("fill", _FAR_LINES[0], True), ("fill", 4, False),
+          ("fill", 0, True), ("is_dirty", 0, False)])
+# The last core's lines against their neighbours across a tag boundary.
+@example([("fill", core_base_line(7) + 1, True),
+          ("fill", core_base_line(7) + 1 + _SETS, False),
+          ("invalidate", core_base_line(7) + 1 + _SETS, False),
+          ("fill", core_base_line(7) + 1, False)])
 @settings(max_examples=300, deadline=None)
 def test_alloy_array_matches_dict_model(ops):
     arr = AlloyCacheArray("alloy", capacity_bytes=_SETS * 64)
@@ -139,7 +155,7 @@ def test_alloy_array_matches_dict_model(ops):
         got = _apply(arr, op, arg, dirty)
         want = _apply(model, op, arg, dirty)
         assert got == want and type(got) is type(want), (op, arg, dirty)
-    for line in range(24):
+    for line in [*range(24), *_FAR_LINES]:
         assert arr.probe(line) == model.probe(line)
         assert arr.is_dirty(line) == model.is_dirty(line)
     for name in _COUNTERS:
@@ -203,10 +219,10 @@ def _state(array):
 
 @pytest.mark.parametrize("kind", sorted(_GEOMETRY))
 def test_warm_many_matches_per_line_warmup(kind):
-    pairs = [pair for warm_set in _MIX.warm_sets(SMOKE.footprint_scale)
-             for pair in warm_set]
+    warm_sets = SimBackend().warm_sets(_MIX, SMOKE.footprint_scale)
+    pairs = [pair for warm_set in warm_sets for pair in warm_set]
     batched = _controller(kind)
-    assert batched.warm_many(_MIX.warm_sets(SMOKE.footprint_scale)) == len(pairs)
+    assert batched.warm_many(warm_sets) == len(pairs)
 
     per_line = _controller(kind)
     for line, dirty in pairs:
@@ -303,6 +319,17 @@ def _prepare(array, ops, disabled):
 @example(kind=3, sets_and_ways=(1, 1), prep=[], disabled=[],
          warm_sets=[WarmSet((range(2, 7),), b"\1\0\1\1\1"),
                     WarmSet((range(4, 6),), b"\0\0")])
+# Alloy: a step-1 run that wraps around the three sets twice, so it
+# evicts its own first lines, over a pre-filled set.
+@example(kind="alloy", sets_and_ways=(3, 1), prep=[("dirty", 7)],
+         disabled=[], warm_sets=[WarmSet((range(4, 12),),
+                                         b"\1\0\0\1\1\0\1\0")])
+# Alloy: same-line refills, dirty over clean and clean over dirty, by a
+# later run and by a later warm set, inside a wrapping run.
+@example(kind="alloy", sets_and_ways=(3, 1), prep=[("fill", 5)],
+         disabled=[], warm_sets=[WarmSet((range(3, 6), range(4, 8)),
+                                         b"\1\0\1\0\1\0\0"),
+                                 WarmSet((range(2, 6),), b"\0\1\0\0")])
 @settings(max_examples=300, deadline=None)
 def test_warm_set_install_matches_per_pair_install(kind, sets_and_ways, prep,
                                                     disabled, warm_sets):
@@ -321,6 +348,48 @@ def test_warm_set_install_matches_per_pair_install(kind, sets_and_ways, prep,
         sum(map(len, warm_sets))
     _reference_install(reference, warm_sets)
     assert _full_state(columnar) == _full_state(reference)
+
+
+@pytest.mark.parametrize("prefill", ["none", "other-tag", "same-tag"])
+def test_alloy_bulk_install_crosses_chunks_and_wraps(prefill):
+    # A run over 2.6 times the sets, which are more than three bulk
+    # chunks: it crosses chunk boundaries, wraps twice and partly refills
+    # lines a prior fill left (a refill takes the per-line path).
+    num_sets = 3 * 4096 + 5
+    start = core_base_line(7) + 11
+    run = range(start, start + int(2.6 * num_sets))
+    flags = bytes(random.Random(7).random() < 0.4 for _ in run)
+    bulk, per_line = (AlloyCacheArray("alloy", capacity_bytes=num_sets * 64)
+                      for _ in range(2))
+    for array in (bulk, per_line):
+        for line in range(start + 4000, start + 4300):
+            if prefill == "other-tag":
+                array.fill(line + num_sets * 5, dirty=line % 3 == 0)
+            elif prefill == "same-tag":
+                array.fill(line, dirty=line % 3 == 0)
+    assert bulk.warm_many([WarmSet((run,), flags)]) == len(run)
+    for line, dirty in zip(run, flags):
+        per_line.fill(line, dirty=bool(dirty))
+    assert bulk._sets == per_line._sets
+    assert bulk.evictions == per_line.evictions > 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmRSS from /proc/self/status")
+def test_a_paper_scale_alloy_array_costs_only_the_pages_it_touches():
+    def vm_rss_kib():
+        with open("/proc/self/status") as status:
+            for row in status:
+                if row.startswith("VmRSS:"):
+                    return int(row.split()[1])
+
+    before = vm_rss_kib()
+    array = AlloyCacheArray("alloy", capacity_bytes=4 << 30)  # 64 Mi sets
+    array.fill(core_base_line(7), dirty=True)
+    array.warm_many([WarmSet((range(0, 4096),), bytes(4096))])
+    assert array.num_sets == 64 << 20
+    assert array.probe(core_base_line(7)) and array.probe(4095)
+    assert vm_rss_kib() - before < 8 * 1024
 
 
 def _per_line_warm_lines(profile, base_line=0, scale=1.0, seed=0):

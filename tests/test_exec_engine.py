@@ -279,6 +279,19 @@ def test_trace_store_evicts_at_capacity():
     assert store.generated == 3 and store.reused == 0
 
 
+def test_warm_sets_cost_a_reference_per_eleven_lines():
+    from repro.workloads.columns import WarmSet
+
+    store = TraceStore(max_refs=3)
+    store.trace(("t",), lambda: [(0, False, 0)])
+    warm_set = WarmSet((range(0, 22),), bytes(22))
+    assert store.warm_set(("warm", "w"), lambda: warm_set) is warm_set
+    # Stored at a cost of 2, beside the 1-reference trace: both hit.
+    assert store.warm_set(("warm", "w"), lambda: None) is warm_set
+    store.trace(("t",), lambda: None)
+    assert (store.generated, store.reused) == (1, 1)
+
+
 def test_trace_reuse_across_cells_and_summary():
     cells = [_mix_cell("mcf/baseline"),
              MixCell("mcf/dap", rate_mix("mcf"),
@@ -290,6 +303,48 @@ def test_trace_reuse_across_cells_and_summary():
     assert stats.traces_generated == n
     assert stats.traces_reused == n
     assert f"traces: {n} generated, {n} reused" in stats.summary()
+
+
+def test_cells_of_one_invocation_share_each_cores_warm_set(monkeypatch):
+    from repro.backends import base
+    from repro.hierarchy.msc_sectored import SectoredMscController
+    from repro.metrics.speedup import ALONE_IPC_CACHE
+
+    installed, drawn = [], []
+    warm_many = SectoredMscController.warm_many
+    warm_lines = base.warm_lines
+
+    def record_install(self, warm_sets):
+        installed.append(list(warm_sets))
+        return warm_many(self, installed[-1])
+
+    def record_draw(*args, **kwargs):
+        drawn.append(warm_lines(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(SectoredMscController, "warm_many", record_install)
+    monkeypatch.setattr(base, "warm_lines", record_draw)
+    ALONE_IPC_CACHE.clear()  # so the alone-IPC cell runs (and warms)
+    mix = rate_mix("mcf")
+    cells = [_mix_cell("mcf/baseline"),
+             MixCell("mcf/dap", mix, scaled_config(SMOKE, policy="dap"),
+                     SMOKE),
+             AloneIpcCell("mcf/alone", "mcf",
+                          scaled_config(SMOKE, policy="baseline"), SMOKE)]
+    _, stats = execute_cells(cells)
+    baseline, dap, alone = installed
+    assert len(drawn) == mix.num_cores == len(baseline)
+    assert all(a is b for a, b in zip(baseline, dap))
+    # The alone reference is core 0 of a one-copy rate mix.
+    assert alone == [baseline[0]]
+    # Warm sets are not traces: the trace counters are as without them.
+    assert stats.traces_generated == mix.num_cores
+    assert stats.traces_reused == mix.num_cores + 1
+
+    # The next invocation starts from an empty store.
+    execute_cells(cells[:1])
+    assert len(drawn) == 2 * mix.num_cores
+    assert installed[-1][0] is not baseline[0]
 
 
 def test_each_invocation_starts_a_fresh_trace_store():

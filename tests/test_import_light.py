@@ -28,6 +28,7 @@ SIMULATOR_MODULES = (
     "repro.cache.sectored",
     "repro.policies.dap",
     "repro.obs.analysis",
+    "repro.obs.telemetry",
     "concurrent.futures.process",
 )
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.backends.base import SimBackend
 from repro.core.planner import PartitionPlan, plan
 from repro.errors import ConfigError, WorkloadError
 from repro.hierarchy.cache_hierarchy import SramLevels
@@ -161,7 +162,7 @@ def test_run_report_sections():
                         l3_bytes=256 * 1024),
     )
     system = build_system(config, mix.traces(refs_per_core=2500, scale=1 / 64))
-    system.msc.warm_many(mix.warm_sets(1 / 64))
+    system.msc.warm_many(SimBackend().warm_sets(mix, 1 / 64))
     system.run()
     report = run_report(system)
     assert "run report" in report

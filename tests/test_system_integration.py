@@ -1,12 +1,18 @@
 """End-to-end integration tests on small full systems."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import SystemConfig, collect_result
+from repro.backends.base import SimBackend
+from repro.cache.dbc import DirtyBitCache
+from repro.cache.footprint import FootprintPredictor
 from repro.errors import ConfigError
 from repro.experiments.common import SMOKE, run_mix, scaled_config
 from repro.hierarchy.cache_hierarchy import SramLevels
 from repro.hierarchy.system import build_system as build
+from repro.mem.configs import ddr4_2400
 from repro.workloads.mixes import rate_mix
 
 REFS = 3_000
@@ -25,7 +31,7 @@ def run_tiny(policy="baseline", workload="mcf", **overrides):
     mix = rate_mix(workload)
     system = build(tiny_config(policy, **overrides),
                    mix.traces(refs_per_core=REFS, scale=1 / 64))
-    system.msc.warm_many(mix.warm_sets(1 / 64))
+    system.msc.warm_many(SimBackend().warm_sets(mix, 1 / 64))
     system.run()
     return collect_result(system)
 
@@ -129,6 +135,35 @@ def test_impossible_msc_geometry_rejected(kind, field, value, param):
     with pytest.raises(ConfigError,
                        match=rf"{param} must be positive, not {value}$"):
         build(config, [()])
+
+
+# (constructor, the message's end): each names the parameter and value.
+_BAD_MEMORY_SIDE = [
+    (lambda: replace(ddr4_2400(), device_ghz=0),
+     "device_ghz must be positive, not 0"),
+    (lambda: replace(ddr4_2400(), device_ghz=-1.2),
+     "device_ghz must be positive, not -1.2"),
+    (lambda: replace(ddr4_2400(), num_channels=0),
+     "num_channels must be positive, not 0"),
+    (lambda: replace(ddr4_2400(), banks_per_channel=-16),
+     "banks_per_channel must be positive, not -16"),
+    (lambda: replace(ddr4_2400(), row_bytes=32),
+     r"row_bytes must be at least 64 \(one line\), not 32"),
+    (lambda: FootprintPredictor(0), "capacity must be positive, not 0"),
+    (lambda: DirtyBitCache(group_sets=0),
+     "group_sets must be positive, not 0"),
+]
+
+
+@pytest.mark.parametrize("make, message", _BAD_MEMORY_SIDE)
+def test_impossible_memory_side_parameters_rejected(make, message):
+    # Each used to build and fail later: a zero clock divided by zero in
+    # peak_gbps, a row shorter than a line was caught only when a
+    # channel was built, a zero-entry footprint table raised
+    # StopIteration on its first record, and zero-set DBC groups
+    # divided by zero.
+    with pytest.raises(ConfigError, match=rf"{message}$"):
+        make()
 
 
 def test_config_key_stability():

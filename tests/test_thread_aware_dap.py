@@ -1,5 +1,6 @@
 """Tests for the thread-aware IFRM extension (Section IV-A refinement)."""
 
+from repro.backends.base import SimBackend
 from repro.core.dap import SectoredTargets
 from repro.policies.dap import ThreadAwareDapPolicy
 
@@ -81,7 +82,7 @@ def test_full_system_run_with_dap_ta():
                         l3_bytes=256 * 1024),
     )
     system = build_system(config, mix.traces(refs_per_core=3000, scale=1 / 64))
-    system.msc.warm_many(mix.warm_sets(1 / 64))
+    system.msc.warm_many(SimBackend().warm_sets(mix, 1 / 64))
     system.run()
     result = collect_result(system)
     assert result.cycles > 0
