@@ -266,7 +266,6 @@ def run_experiment(
     *,
     cache: Union[CellCache, str, None] = None,
     trace_dir: Optional[str] = None,
-    telemetry: Optional[TelemetryConfig] = None,
     should_stop: Optional[Callable[[], Optional[str]]] = None,
     on_cell: Optional[Callable[[str, str, int, int], None]] = None,
     spec=None,
@@ -280,7 +279,9 @@ def run_experiment(
 
     ``cache`` is a :class:`CellCache` or a directory path (``None``
     runs uncached; use :func:`default_cache` for the shared store).
-    ``telemetry`` wins over the request's ``trace`` flag;
+    A request with ``trace`` set instruments every simulated cell,
+    sampling every ``probe_interval`` cycles and, when ``trace_dir`` is
+    given, writing one JSONL trace per cell under it.
     ``should_stop`` / ``on_cell`` are forwarded to the engine.
     ``spec`` lets a caller that already resolved the
     :class:`ExperimentSpec` (the runner CLI, tests with synthetic
@@ -293,8 +294,6 @@ def run_experiment(
         data.update(overrides)
         request = ExperimentRequest.from_dict(data)
     request.validate()
-    if telemetry is None:
-        telemetry = _telemetry_of(request, trace_dir)
     if spec is None:
         spec = get_spec(request.experiment)
     return run_spec(
@@ -304,7 +303,7 @@ def run_experiment(
         jobs=max(1, request.jobs),
         cache=cache,
         resume=request.resume,
-        telemetry=telemetry,
+        telemetry=_telemetry_of(request, trace_dir),
         should_stop=should_stop,
         on_cell=on_cell,
     )

@@ -95,7 +95,8 @@ class TraceStore:
     def _store(self, key: tuple, entry, cost: int):
         if cost <= self.max_refs:
             while self._trace_refs + cost > self.max_refs and self._traces:
-                _, (_, old_cost) = self._traces.popitem()
+                # Dicts keep insertion order: the first key is the oldest.
+                _, old_cost = self._traces.pop(next(iter(self._traces)))
                 self._trace_refs -= old_cost
             self._traces[key] = (entry, cost)
             self._trace_refs += cost

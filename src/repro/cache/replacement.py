@@ -2,20 +2,14 @@
 
 Policies operate on per-way metadata kept by the caller: each way exposes
 an integer ``stamp`` slot the policy is free to interpret (LRU recency
-counter, NRU bit). This keeps cache arrays policy-agnostic.
+counter, NRU bit). A set is a mapping of key -> way in fill order, and
+``select_victim`` returns the key to evict. This keeps cache arrays
+policy-agnostic.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
-
 from repro.errors import ConfigError
-
-
-class Way(Protocol):
-    """Minimal interface a cache way offers to a replacement policy."""
-
-    stamp: int
 
 
 class LRUPolicy:
@@ -28,23 +22,15 @@ class LRUPolicy:
     def __init__(self) -> None:
         self._clock = 0
 
-    def on_access(self, way: Way) -> None:
+    def on_access(self, way) -> None:
         self._clock += 1
         way.stamp = self._clock
 
-    def on_fill(self, way: Way) -> None:
+    def on_fill(self, way) -> None:
         self.on_access(way)
 
-    def select_victim(self, ways: Sequence[Way]) -> int:
-        victim, best = 0, None
-        for idx, way in enumerate(ways):
-            if best is None or way.stamp < best:
-                victim, best = idx, way.stamp
-        return victim
-
-    def select_victim_key(self, ways):
-        """Victim key for a mapping of key -> way (same tie-breaking as
-        :meth:`select_victim` over the mapping's insertion order)."""
+    def select_victim(self, ways):
+        """Key of the way with the oldest stamp (the first on a tie)."""
         victim, best = None, None
         for key, way in ways.items():
             if best is None or way.stamp < best:
@@ -55,33 +41,23 @@ class LRUPolicy:
 class NRUPolicy:
     """Single-bit not-recently-used, as the paper's DRAM cache uses.
 
-    ``stamp`` is the NRU bit: 1 means recently used. When all ways in a
-    set are recently used, all bits are cleared except the accessed way
-    (the classic NRU reset). Victim is the first way with a clear bit.
+    ``stamp`` is the NRU bit: 1 means recently used. The victim is the
+    first way with a clear bit; when every way is recently used, all
+    bits are cleared (the classic NRU reset) and the first way goes.
     """
 
     name = "nru"
 
     __slots__ = ()
 
-    def on_access(self, way: Way) -> None:
+    def on_access(self, way) -> None:
         way.stamp = 1
 
-    def on_fill(self, way: Way) -> None:
+    def on_fill(self, way) -> None:
         way.stamp = 1
 
-    def select_victim(self, ways: Sequence[Way]) -> int:
-        for idx, way in enumerate(ways):
-            if way.stamp == 0:
-                return idx
-        # All recently used: reset every bit and take way 0.
-        for way in ways:
-            way.stamp = 0
-        return 0
-
-    def select_victim_key(self, ways):
-        """Victim key for a mapping of key -> way (same semantics as
-        :meth:`select_victim` over the mapping's insertion order)."""
+    def select_victim(self, ways):
+        """Key of the first way with a clear bit, resetting when none is."""
         first = None
         for key, way in ways.items():
             if way.stamp == 0:
@@ -91,18 +67,6 @@ class NRUPolicy:
         for way in ways.values():
             way.stamp = 0
         return first
-
-    @staticmethod
-    def normalize(ways: Sequence[Way], accessed_idx: int) -> None:
-        """Clear all NRU bits except the most recent access.
-
-        Callers invoke this after ``on_access`` when every bit is set, to
-        bound how stale the bits can get. Optional: ``select_victim``
-        already handles the all-set case.
-        """
-        if all(w.stamp == 1 for w in ways):
-            for i, w in enumerate(ways):
-                w.stamp = 1 if i == accessed_idx else 0
 
 
 def make_policy(name: str):

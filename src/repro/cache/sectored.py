@@ -113,7 +113,7 @@ class SectoredCacheArray:
         self._policy = make_policy(policy)
         self._on_access = self._policy.on_access
         self._on_fill = self._policy.on_fill
-        self._select_victim = self._policy.select_victim_key
+        self._select_victim = self._policy.select_victim
         self._disabled: set[int] = set()
 
         self.read_hits = 0

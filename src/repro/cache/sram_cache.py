@@ -111,7 +111,7 @@ class SRAMCache:
         self._policy = make_policy(policy)
         self._on_access = self._policy.on_access
         self._on_fill = self._policy.on_fill
-        self._select_victim = self._policy.select_victim_key
+        self._select_victim = self._policy.select_victim
         self._lru = policy == "lru"
         self.hits = 0
         self.misses = 0

@@ -155,18 +155,6 @@ def decode_result(data: Any) -> Any:
     return data
 
 
-def _embedded_manifest(encoded: Any) -> Optional[dict]:
-    """The run manifest carried inside an encoded result, if any."""
-    if not isinstance(encoded, dict):
-        return None
-    extras = encoded.get("data", {}).get("extras")
-    if isinstance(extras, dict):
-        manifest = extras.get("manifest")
-        if isinstance(manifest, dict):
-            return manifest
-    return None
-
-
 # ----------------------------------------------------------------------
 # Execution bookkeeping (shared by the engine and the runner summary)
 # ----------------------------------------------------------------------
@@ -296,22 +284,8 @@ class CellCache:
             return None
         return decode_result(entry["result"])
 
-    def manifest_path(self, key: str) -> Path:
-        """Sidecar manifest location for a cached cell."""
-        return self.root / key[:2] / f"{key}.manifest.json"
-
-    def get_manifest(self, key: str) -> Optional[dict]:
-        """The run manifest stored alongside a cached cell, if any."""
-        try:
-            with open(self.manifest_path(key), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
-
     def _write(self, key: str, payload: dict) -> None:
-        self._write_path(self._path(key), payload)
-
-    def _write_path(self, path: Path, payload: dict) -> None:
+        path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -326,14 +300,10 @@ class CellCache:
             raise
 
     def put_result(self, key: str, result: Any, label: str = "") -> None:
-        encoded = encode_result(result)
         self._write(key, {
             "status": "ok", "version": CODE_VERSION, "label": label,
-            "result": encoded,
+            "result": encode_result(result),
         })
-        manifest = _embedded_manifest(encoded)
-        if manifest is not None:
-            self._write_path(self.manifest_path(key), manifest)
 
     def put_failure(self, key: str, error: str, traceback_text: str = "",
                     label: str = "") -> None:
@@ -346,33 +316,6 @@ class CellCache:
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
-
-
-# ----------------------------------------------------------------------
-# Process-wide default cache (what worker processes are configured with)
-# ----------------------------------------------------------------------
-
-_DEFAULT_CACHE: Optional[CellCache] = None
-
-
-def configure_default(root: Optional[Union[str, Path, CellCache]]) -> None:
-    """Install (or clear, with None) this process's default cell cache.
-
-    The execution engine calls this in every worker it spawns, so
-    helpers like :func:`repro.experiments.common.alone_ipc` share one
-    on-disk store across workers instead of recomputing per process.
-    """
-    global _DEFAULT_CACHE
-    if root is None:
-        _DEFAULT_CACHE = None
-    elif isinstance(root, CellCache):
-        _DEFAULT_CACHE = root
-    else:
-        _DEFAULT_CACHE = CellCache(root)
-
-
-def get_default_cache() -> Optional[CellCache]:
-    return _DEFAULT_CACHE
 
 
 def default_cache_dir() -> str:

@@ -22,7 +22,6 @@ from repro.obs.manifest import build_manifest
 from repro.obs.probes import attach_system_probes
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.obs.trace import TraceWriter, trace_paths, write_manifest
-from repro.experiments.cellcache import alone_ipc_key_parts, cell_key
 from repro.experiments.scale import (
     PAPER,
     SMALL,
@@ -34,7 +33,6 @@ from repro.experiments.scale import (
 )
 from repro.hierarchy.config import SystemConfig
 from repro.hierarchy.system import build_system
-from repro.metrics.speedup import ALONE_IPC_CACHE
 from repro.metrics.stats import RunResult, collect_result
 from repro.workloads.mixes import Mix, rate_mix
 from repro.workloads.profiles import get_profile
@@ -44,7 +42,7 @@ from repro.workloads.synthetic import generate_trace
 __all__ = [
     "PAPER", "SMALL", "SMOKE", "ExperimentResult", "Scale", "get_scale",
     "scaled_config", "build_system", "warm_system", "collect_result",
-    "run_mix", "alone_ipc", "mix_alone_ipcs",
+    "run_mix", "alone_ipc",
 ]
 
 # Traces at most this many total references are materialized before the
@@ -134,20 +132,13 @@ def run_mix(mix: Mix, config: SystemConfig, scale: Scale,
 
 
 def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
-    """IPC of one copy of a workload running alone (memoized).
+    """IPC of one copy of a workload running alone.
 
     Used as the weighted-speedup reference for heterogeneous mixes; the
-    reference platform is the supplied config with a single core.
-    Memoized in :data:`ALONE_IPC_CACHE` — an in-process dict layered
-    over the shared on-disk cell cache (when one is configured), so
-    parallel workers share references instead of recomputing per
-    process.
+    reference platform is the supplied config with a single core. It
+    runs as an :class:`~repro.experiments.exec.AloneIpcCell`, so the
+    cell cache stores it once per (workload, platform, scale).
     """
-    memo_key = (profile_name, f"{config.key()}/{scale.name}")
-    disk_key = cell_key(alone_ipc_key_parts(profile_name, config, scale))
-    cached = ALONE_IPC_CACHE.lookup(memo_key, disk_key)
-    if cached is not None:
-        return cached
     solo = replace(config, num_cores=1, policy="baseline")
     profile = get_profile(profile_name)
     if scale.refs_per_core <= _MATERIALIZE_REFS_LIMIT:
@@ -166,10 +157,4 @@ def alone_ipc(profile_name: str, config: SystemConfig, scale: Scale) -> float:
     # A one-copy rate mix: core 0's warm set, as in the rate-8 mix.
     warm_system(system, rate_mix(profile_name, ways=1), scale)
     system.run()
-    ipc = system.cores[0].ipc or 1e-9
-    ALONE_IPC_CACHE.store(memo_key, ipc, disk_key)
-    return ipc
-
-
-def mix_alone_ipcs(mix: Mix, config: SystemConfig, scale: Scale) -> list[float]:
-    return [alone_ipc(name, config, scale) for name in mix.members]
+    return system.cores[0].ipc or 1e-9

@@ -248,8 +248,8 @@ def _execute_one(cell: Cell, key: str, cache: Optional[CellCache]):
 
     try:
         if cache is not None:
-            # Another worker may have finished this cell (or its alone-IPC
-            # twin) since the parent scheduled it.
+            # Another worker may have finished this cell since the parent
+            # scheduled it.
             hit = cache.get_result(key)
             if hit is not None:
                 return cell.label, "ok", hit, 0.0, traces()
@@ -281,12 +281,6 @@ def _profile_of(label: str, payload, wall: float) -> CellProfile:
         events=int(manifest.get("events", 0)) if manifest else 0,
         cycles=int(manifest.get("cycles", 0)) if manifest else 0,
     )
-
-
-def _worker_init(cache_dir: Optional[str]) -> None:
-    """Pool initializer: shared cell cache and a fresh trace store."""
-    cellcache.configure_default(cache_dir)
-    reset_backend()
 
 
 def _worker_run(cell: Cell, key: str, cache_dir: Optional[str]):
@@ -407,10 +401,10 @@ def execute_cells(
             # compiling it again for every pool.
             import repro.experiments.common  # noqa: F401
             cache_dir = str(cache.root) if cache is not None else None
+            # Each worker starts with a fresh trace store.
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(unique)),
-                initializer=_worker_init,
-                initargs=(cache_dir,),
+                initializer=reset_backend,
             ) as pool:
                 futures = {
                     pool.submit(_worker_run, cell, keys[cell.label],

@@ -29,8 +29,6 @@ import time
 import traceback
 from typing import Optional, Sequence
 
-from dataclasses import replace
-
 from repro import api
 from repro.errors import ConfigError, ReproError
 from repro.experiments.cellcache import (
@@ -40,7 +38,7 @@ from repro.experiments.cellcache import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_spec, iter_specs
 from repro.metrics.charts import chart_result
-from repro.obs.telemetry_config import DEFAULT_PROBE_INTERVAL, TelemetryConfig
+from repro.obs.telemetry_config import DEFAULT_PROBE_INTERVAL
 
 DEFAULT_TRACE_DIR = ".repro-traces"
 
@@ -113,6 +111,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if not args.experiments:
         parser.error("no experiments given (or use --list)")
+    if args.probe_interval <= 0:
+        print(f"error: --probe-interval must be a positive number of "
+              f"cycles, got {args.probe_interval}", file=sys.stderr)
+        return 2
     if args.validate:
         # The claim machinery loads only for a run that judges claims.
         from repro.validate.evaluate import (
@@ -125,9 +127,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     cache = None if args.no_cache else CellCache(
         args.cache_dir or default_cache_dir())
-    telemetry = (TelemetryConfig(probe_interval=args.probe_interval,
-                                 trace_dir=args.trace_dir)
-                 if args.trace else None)
 
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
 
@@ -148,19 +147,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec_workloads = args.workloads
         if name in EXPERIMENTS and not get_spec(name).workload_aware:
             spec_workloads = None  # already warned above
-        spec_telemetry = telemetry
-        if telemetry is not None and telemetry.trace_dir:
-            # One subdirectory per experiment keeps cell traces apart.
-            spec_telemetry = replace(
-                telemetry,
-                trace_dir=os.path.join(telemetry.trace_dir, name))
+        # One subdirectory per experiment keeps cell traces apart.
+        trace_dir = (os.path.join(args.trace_dir, name)
+                     if args.trace_dir else None)
         try:
             request = api.ExperimentRequest(
                 experiment=name, scale=args.scale,
                 workloads=tuple(spec_workloads) if spec_workloads else None,
-                jobs=max(1, args.jobs), resume=args.resume)
+                jobs=max(1, args.jobs), resume=args.resume,
+                trace=args.trace, probe_interval=args.probe_interval)
             result = api.run_experiment(request, cache=cache,
-                                        telemetry=spec_telemetry,
+                                        trace_dir=trace_dir,
                                         spec=get_spec(name))
         except ReproError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
@@ -210,8 +207,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{stats.summary()}]")
             if stats.profile:
                 print(stats.profile_summary())
-            if args.trace and spec_telemetry is not None and stats.executed:
-                print(f"[traces written under {spec_telemetry.trace_dir}]")
+            if args.trace and trace_dir and stats.executed:
+                print(f"[traces written under {trace_dir}]")
             print()
         else:
             print(f"[{name} took {time.time() - start:.1f}s]\n")

@@ -3,8 +3,9 @@
 ``WS = sum_i IPC_shared,i / IPC_alone,i``; figures report WS of a
 configuration normalized to WS of a baseline configuration with the same
 alone-run reference, so any consistent alone-IPC reference yields the
-same normalized number. Experiments memoize alone IPCs per
-(workload, platform) in :data:`ALONE_IPC_CACHE`.
+same normalized number. Alone IPCs are cells of their own
+(:class:`~repro.experiments.exec.AloneIpcCell`), stored in the cell
+cache like every other result.
 """
 
 from __future__ import annotations
@@ -13,71 +14,6 @@ import math
 from typing import Optional, Sequence
 
 from repro.errors import ConfigError
-
-
-class AloneIpcStore:
-    """Two-layer alone-IPC memo: process dict over the shared cell cache.
-
-    The first layer is a plain in-process dict keyed by
-    ``(workload name, SystemConfig.key()/scale)``.  The second layer is
-    the process-wide default :class:`~repro.experiments.cellcache.CellCache`
-    (when one is configured — the execution engine configures it in
-    every worker), keyed by the content-addressed cell key, so alone-run
-    references computed by one worker are visible to all others and to
-    later invocations instead of being recomputed per process.
-    """
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[str, str], float] = {}
-
-    @staticmethod
-    def _disk():
-        # Lazy import: metrics must not pull the experiments package in
-        # at import time.
-        from repro.experiments.cellcache import get_default_cache
-        return get_default_cache()
-
-    def lookup(self, memo_key: tuple[str, str],
-               disk_key: Optional[str] = None) -> Optional[float]:
-        ipc = self._memo.get(memo_key)
-        if ipc is not None:
-            return ipc
-        if disk_key is not None:
-            cache = self._disk()
-            if cache is not None:
-                ipc = cache.get_result(disk_key)
-                if ipc is not None:
-                    self._memo[memo_key] = float(ipc)
-                    return float(ipc)
-        return None
-
-    def store(self, memo_key: tuple[str, str], ipc: float,
-              disk_key: Optional[str] = None) -> None:
-        self._memo[memo_key] = ipc
-        if disk_key is not None:
-            cache = self._disk()
-            if cache is not None:
-                cache.put_result(disk_key, ipc, label=f"alone/{memo_key[0]}")
-
-    # Dict-style access to the in-process layer (kept for callers that
-    # used the old module-global dict).
-    def get(self, memo_key, default=None):
-        return self._memo.get(memo_key, default)
-
-    def __setitem__(self, memo_key, ipc) -> None:
-        self._memo[memo_key] = ipc
-
-    def __contains__(self, memo_key) -> bool:
-        return memo_key in self._memo
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def clear(self) -> None:
-        self._memo.clear()
-
-
-ALONE_IPC_CACHE = AloneIpcStore()
 
 
 def weighted_speedup(ipcs: Sequence[float], alone_ipcs: Sequence[float]) -> float:

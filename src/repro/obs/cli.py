@@ -112,37 +112,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _maybe_validation_doc(path: Path):
-    """The parsed document when *path* is a validation JSON, else None."""
-    import json
-
-    from repro.validate.evaluate import is_validation_doc
-
-    if not (path.is_file() and path.suffix == ".json"):
-        return None
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return doc if is_validation_doc(doc) else None
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     thresholds = _parse_thresholds(args.threshold or [])
     baseline, candidate = Path(args.baseline), Path(args.candidate)
-    base_doc = _maybe_validation_doc(baseline)
-    cand_doc = _maybe_validation_doc(candidate)
-    if base_doc is not None and cand_doc is not None:
-        # Two paper-shape validation documents: a verdict flip into a
-        # failing state gates exactly like a metric regression.
-        from repro.validate.diff import diff_validations
-
-        print(f"[diffing validation verdicts: {candidate} vs {baseline}]")
-        diff = diff_validations(base_doc, cand_doc)
-        print(diff.render())
-        if diff.regressed and not args.no_fail:
-            return 1
-        return 0
     if baseline.is_dir() and candidate.is_dir():
         result = compare_dirs(baseline, candidate, thresholds)
         print(render_dir_comparison(result))

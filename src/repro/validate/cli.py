@@ -9,10 +9,11 @@ Usage::
     repro validate diff baseline.json candidate.json # explicit pair
     repro validate diff v.json --only baselines prefetch  # scoped gate
 
-``run`` executes the named experiments through the same cell engine as
-``repro experiment`` (shared cache and all), judges every registered
-claim, writes ``validation.json`` plus an optional markdown verdict
-table, and exits non-zero when any claim fails. ``diff`` exits
+``run`` is ``repro experiment <names> --validate``: the same loop runs
+each experiment through the cell engine (shared cache and all), prints
+its table, judges every registered claim and writes
+``validation.json``, plus an optional markdown verdict table. It exits
+non-zero when any claim fails or any experiment errors. ``diff`` exits
 non-zero when a verdict flipped into a failing state relative to the
 baseline — the CI regression gate for the paper's shapes.
 """
@@ -27,69 +28,11 @@ from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.validate.diff import diff_validations
-from repro.validate.evaluate import (
-    build_validation,
-    doc_failed,
-    evaluate_result,
-    failed_entry,
-)
-from repro.validate.report import (
-    load_validation,
-    render_markdown,
-    render_summary_line,
-    write_validation,
-)
+from repro.validate.report import load_validation, render_markdown
 
 #: The committed baseline ``repro validate diff`` compares against by
 #: default (regenerate with ``repro validate run all --out VERDICTS.json``).
 DEFAULT_BASELINE = "VERDICTS.json"
-
-
-def validate_experiments(
-    names: Sequence[str],
-    scale: Optional[str] = None,
-    *,
-    jobs: int = 1,
-    cache=None,
-    resume: bool = False,
-) -> dict:
-    """Run experiments and judge their claims; returns the document.
-
-    Experiments without a registered claims block are recorded with an
-    empty claim list (verdict ``pass``) so the document always covers
-    the requested set. Experiments that fail to run are recorded as
-    ``error`` — the document never silently shrinks. Per-experiment
-    cell-engine stats (executed vs cache-hit counts) are printed as
-    each experiment completes so CI logs show how warm the cache was;
-    they are deliberately kept out of the document, which must stay
-    byte-stable across warm and cold regenerations.
-    """
-    from repro.experiments.exec import run_spec
-    from repro.experiments.registry import get_spec
-
-    entries: dict[str, dict] = {}
-    executed = cache_hits = 0
-    for name in names:
-        spec = get_spec(name)
-        try:
-            result = run_spec(spec, scale=scale, jobs=jobs, cache=cache,
-                              resume=resume)
-        except ReproError as exc:
-            entries[name] = failed_entry(spec.title, str(exc))
-            continue
-        stats = getattr(result, "stats", None)
-        if stats is not None:
-            executed += stats.executed
-            cache_hits += stats.cache_hits
-            print(f"[{name}: {stats.summary()}]")
-        entry = evaluate_result(spec, result)
-        if entry is None:
-            entry = {"title": spec.title, "verdict": "pass", "claims": []}
-        entries[name] = entry
-    print(f"[cells across {len(names)} experiment(s): "
-          f"{executed} executed, {cache_hits} cache hits]")
-    scale_name = scale or os.environ.get("REPRO_SCALE", "smoke")
-    return build_validation(entries, scale=scale_name)
 
 
 # ----------------------------------------------------------------------
@@ -97,26 +40,32 @@ def validate_experiments(
 # ----------------------------------------------------------------------
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.cellcache import CellCache, default_cache_dir
+    from repro.experiments import runner
     from repro.experiments.registry import EXPERIMENTS
 
-    names = (list(EXPERIMENTS) if "all" in args.experiments
-             else args.experiments)
-    cache = None if args.no_cache else CellCache(
-        args.cache_dir or default_cache_dir())
-    doc = validate_experiments(names, args.scale, jobs=max(1, args.jobs),
-                               cache=cache, resume=args.resume)
-    path = write_validation(args.out, doc)
-    print(f"[validation document written to {path}]")
+    unknown = [n for n in args.experiments
+               if n != "all" and n not in EXPERIMENTS]
+    if unknown:
+        raise ReproError(f"unknown experiment(s) {', '.join(unknown)}; "
+                         f"available: {sorted(EXPERIMENTS)}")
+    argv = [*args.experiments, "--jobs", str(args.jobs), "--validate",
+            "--validation-out", args.out]
+    if args.scale:
+        argv += ["--scale", args.scale]
+    if args.cache_dir:
+        argv += ["--cache-dir", args.cache_dir]
+    if args.no_cache:
+        argv.append("--no-cache")
+    if args.resume:
+        argv.append("--resume")
+    code = runner.main(argv)
     if args.md:
         md = Path(args.md)
         md.parent.mkdir(parents=True, exist_ok=True)
-        md.write_text(render_markdown(doc), encoding="utf-8")
+        md.write_text(render_markdown(load_validation(args.out)),
+                      encoding="utf-8")
         print(f"[markdown verdict table written to {md}]")
-    print(render_summary_line(doc))
-    if doc_failed(doc) and not args.no_fail:
-        return 1
-    return 0
+    return 0 if args.no_fail else code
 
 
 def cmd_report(args: argparse.Namespace) -> int:

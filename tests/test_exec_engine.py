@@ -165,6 +165,36 @@ def test_cache_tolerates_torn_entries(tmp_path):
     assert cache.get(key) is None
 
 
+def test_a_cached_cell_is_one_file(tmp_path):
+    cache = CellCache(tmp_path)
+    cells = [_mix_cell(),
+             AloneIpcCell("alone/mcf", "mcf", scaled_config(SMOKE), SMOKE)]
+    _, stats = execute_cells(cells, cache=cache)
+    assert stats.executed == 2
+    assert len(cache) == len(cells)
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == \
+        sorted(f"{cell_key(c.key_parts())}.json" for c in cells)
+
+
+def test_pool_worker_writes_an_alone_cell_once(tmp_path, monkeypatch):
+    # Forked workers inherit the patch and append one line per write.
+    log = tmp_path / "puts.log"
+    put_result = CellCache.put_result
+
+    def logged(self, key, result, label=""):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(key + "\n")
+        put_result(self, key, result, label=label)
+
+    monkeypatch.setattr(CellCache, "put_result", logged)
+    cells = [AloneIpcCell(f"alone/{name}", name, scaled_config(SMOKE), SMOKE)
+             for name in ("mcf", "omnetpp")]
+    _, stats = execute_cells(cells, jobs=2, cache=CellCache(tmp_path / "c"))
+    assert stats.executed == 2
+    assert sorted(log.read_text().split()) == \
+        sorted(cell_key(c.key_parts()) for c in cells)
+
+
 # ---------------------------------------------------- engine behavior
 
 
@@ -279,6 +309,16 @@ def test_trace_store_evicts_at_capacity():
     assert store.generated == 3 and store.reused == 0
 
 
+def test_trace_store_evicts_the_oldest_entry_first():
+    store = TraceStore(max_refs=2)
+    for key in ("a", "b", "c"):  # "c" evicts "a", the oldest
+        store.trace((key,), lambda: [(0, False, 0)])
+    store.trace(("b",), lambda: [(0, False, 0)])
+    assert (store.generated, store.reused) == (3, 1)
+    store.trace(("a",), lambda: [(0, False, 0)])
+    assert (store.generated, store.reused) == (4, 1)
+
+
 def test_warm_sets_cost_a_reference_per_eleven_lines():
     from repro.workloads.columns import WarmSet
 
@@ -308,7 +348,6 @@ def test_trace_reuse_across_cells_and_summary():
 def test_cells_of_one_invocation_share_each_cores_warm_set(monkeypatch):
     from repro.backends import base
     from repro.hierarchy.msc_sectored import SectoredMscController
-    from repro.metrics.speedup import ALONE_IPC_CACHE
 
     installed, drawn = [], []
     warm_many = SectoredMscController.warm_many
@@ -324,7 +363,6 @@ def test_cells_of_one_invocation_share_each_cores_warm_set(monkeypatch):
 
     monkeypatch.setattr(SectoredMscController, "warm_many", record_install)
     monkeypatch.setattr(base, "warm_lines", record_draw)
-    ALONE_IPC_CACHE.clear()  # so the alone-IPC cell runs (and warms)
     mix = rate_mix("mcf")
     cells = [_mix_cell("mcf/baseline"),
              MixCell("mcf/dap", mix, scaled_config(SMOKE, policy="dap"),

@@ -14,6 +14,7 @@ from repro.experiments.exec import (
 )
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import main
+from repro.validate.cli import main as validate_main
 
 
 def test_cli_runs_fig01_with_chart_and_csv(tmp_path, capsys):
@@ -83,6 +84,30 @@ def test_cli_scale_flag_validation(capsys):
         main(["fig01", "--scale", "gigantic"])
 
 
+def test_cli_rejects_a_non_positive_probe_interval_before_running(capsys):
+    assert main(["fig01", "--trace", "--probe-interval", "0",
+                 "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --probe-interval must be a positive number of cycles, "
+        "got 0"]
+
+
+def test_validate_run_writes_the_experiment_validate_document(tmp_path,
+                                                              capsys):
+    cache = str(tmp_path / "cache")
+    via_validate, via_runner = tmp_path / "a.json", tmp_path / "b.json"
+    assert validate_main(["run", "fig01", "--scale", "smoke", "--jobs", "1",
+                          "--cache-dir", cache,
+                          "--out", str(via_validate)]) == 0
+    assert "Fig. 1" in capsys.readouterr().out  # the table is printed
+    assert main(["fig01", "--scale", "smoke", "--jobs", "1",
+                 "--cache-dir", cache, "--validate",
+                 "--validation-out", str(via_runner)]) == 0
+    assert via_validate.read_bytes() == via_runner.read_bytes()
+
+
 # ----------------------------------------------------------------------
 # Failure accounting (fake specs: trivial task cells, no simulation)
 # ----------------------------------------------------------------------
@@ -103,6 +128,10 @@ def _ok_cells(scale, workloads):
 def _boom_cells(scale, workloads):
     yield TaskCell("fine", _cell_value, (("value", 3.0),))
     yield TaskCell("broken", _cell_boom)
+
+
+def _render_missing_cell(ctx):
+    return ctx["no-such-cell"]  # KeyError, not a ReproError
 
 
 def _fake_render(ctx):
@@ -131,16 +160,21 @@ BOOM_SPEC = ExperimentSpec(name="figboom", title="Fig. BOOM",
                            headers=("cell", "value"), cells=_boom_cells,
                            render=_fake_render)
 BAD_SPEC = replace(OK_SPEC, name="figbad", claims=_impossible_claims)
+KEY_SPEC = replace(OK_SPEC, name="figkey", render=_render_missing_cell)
 
 
 @pytest.fixture
 def fake_specs(monkeypatch):
-    from repro.experiments import runner
-    real_get_spec = runner.get_spec
-    fakes = {"figok": OK_SPEC, "figboom": BOOM_SPEC, "figbad": BAD_SPEC}
-    monkeypatch.setattr(
-        runner, "get_spec",
-        lambda name: fakes.get(name) or real_get_spec(name))
+    from repro.experiments import registry, runner
+    real_get_spec = registry.get_spec
+    fakes = {"figok": OK_SPEC, "figboom": BOOM_SPEC, "figbad": BAD_SPEC,
+             "figkey": KEY_SPEC}
+
+    def get_spec(name):
+        return fakes.get(name) or real_get_spec(name)
+
+    monkeypatch.setattr(runner, "get_spec", get_spec)
+    monkeypatch.setattr(registry, "get_spec", get_spec)
     for name in fakes:
         monkeypatch.setitem(runner.EXPERIMENTS, name, f"<test:{name}>")
 
@@ -192,3 +226,17 @@ def test_cli_validate_gates_on_claim_failure_alone(fake_specs, tmp_path,
     doc = json.loads(out_path.read_text())
     assert doc["experiments"]["figbad"]["verdict"] == "fail"
     assert "FAILING: figbad" in captured.out
+
+
+def test_validate_run_records_a_render_error_and_writes_the_document(
+        fake_specs, tmp_path, capsys):
+    out_path = tmp_path / "validation.json"
+    exit_code = validate_main(["run", "figok", "figkey", "--no-cache",
+                               "--jobs", "1", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    doc = json.loads(out_path.read_text())
+    assert doc["experiments"]["figkey"]["verdict"] == "error"
+    assert doc["experiments"]["figkey"]["error"] == "unexpected KeyError"
+    assert doc["experiments"]["figok"]["verdict"] == "pass"
+    assert "FAILING: figkey" in captured.out
